@@ -22,7 +22,6 @@ from .estimation import (
     Dataset,
     DivergenceError,
     FittedModel,
-    PredictorOutOfDomainError,
     RankDeficientError,
     fit,
     observed_efficiency,
@@ -39,14 +38,12 @@ from .glm import (
     Run,
     Term,
     TermKind,
-    info_weight,
     linear_predictor,
     regressor,
     regressor_matrix,
 )
 from .information import (
     Design,
-    InfoMatrix,
     fisher_info,
     inv_quadratic_form,
     log_det,

@@ -23,13 +23,12 @@ from .estimation import (
     DivergenceError,
     FittedModel,
     METRICS,
-    PredictorOutOfDomainError,
     RankDeficientError,
     fit,
     predict,
     prediction_error,
 )
-from .glm import InvalidPredictorError, Link, ModelSpec, ParamPoint
+from .glm import InvalidPredictorError, Link, ModelSpec, ParamPoint, Term, TermKind
 from .information import Design
 from .optimizer import (
     PsoConfig,
@@ -94,12 +93,15 @@ def _scenario_from_arg(value: str) -> Scenario:
 
 
 def _pso_config(args) -> PsoConfig:
-    return PsoConfig(
-        swarm_size=args.swarm,
-        iterations=args.iters,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+    try:
+        return PsoConfig(
+            swarm_size=args.swarm,
+            iterations=args.iters,
+            restarts=args.restarts,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _add_pso_flags(parser) -> None:
@@ -123,7 +125,7 @@ def cmd_fit(args) -> int:
     dataset = _load_dataset(args)
     model = fit(spec, dataset, response, include_day_effect=args.day_effect)
 
-    labels = [_term_label(spec, i) for i in range(spec.p)]
+    labels = [_term_label(spec, t) for t in spec.terms]
     estimates = list(model.beta_hat)
     if model.gamma_hat is not None:
         labels.append("day")
@@ -138,17 +140,11 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _term_label(spec: ModelSpec, i: int) -> str:
-    from .glm import TermKind
-
-    t = spec.terms[i]
-    if t.kind is TermKind.INTERCEPT:
-        return "intercept"
-    if t.kind is TermKind.MAIN:
-        return spec.factors[t.a]
-    if t.kind is TermKind.SQUARE:
-        return f"{spec.factors[t.a]}^2"
-    return f"{spec.factors[t.a]}*{spec.factors[t.b]}"
+def _term_label(spec: ModelSpec, term: Term) -> str:
+    names = spec.factor_names(term)
+    if term.kind is TermKind.SQUARE:
+        return f"{names[0]}^2"
+    return "*".join(names) or "intercept"
 
 
 def _report_efficiencies(ensemble: ScenarioEnsemble, design: Design) -> list[dict]:
@@ -167,6 +163,10 @@ def _report_efficiencies(ensemble: ScenarioEnsemble, design: Design) -> list[dic
 
 def cmd_design(args) -> int:
     config = _pso_config(args)
+    if args.m < 0:
+        raise UsageError(f"--m must be non-negative, got {args.m}")
+    if not 0.0 <= args.alpha <= 1.0:
+        raise UsageError(f"--alpha must lie in [0, 1], got {args.alpha}")
     if args.m == 0:
         print("warning: m=0 requested; empty design, criterion value 0")
         if args.out:
@@ -252,18 +252,17 @@ def cmd_predict(args) -> int:
         raise UsageError(f"dataset has no response {response!r}")
     observed = dataset.responses[response]
     predicted = predict(model, dataset.runs)
-    print("run,observed,predicted,residual")
-    for i, (o, p) in enumerate(zip(observed, predicted), start=1):
-        print(f"{i},{o:.10g},{p:.10g},{p - o:.10g}")
+    lines = ["run,observed,predicted,residual"]
+    lines += [
+        f"{i},{o:.10g},{p:.10g},{p - o:.10g}"
+        for i, (o, p) in enumerate(zip(observed, predicted), start=1)
+    ]
+    csv_text = "\n".join(lines) + "\n"
+    print(csv_text, end="")
     value = prediction_error(model, dataset, response, args.metric)
     print(f"{args.metric}: {value:.6g}")
     if args.out:
-        lines = ["run,observed,predicted,residual"]
-        lines += [
-            f"{i},{o:.10g},{p:.10g},{p - o:.10g}"
-            for i, (o, p) in enumerate(zip(observed, predicted), start=1)
-        ]
-        _write(args.out, "\n".join(lines) + "\n")
+        _write(args.out, csv_text)
     return EXIT_OK
 
 
@@ -323,9 +322,6 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, KeyError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except PredictorOutOfDomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except (DivergenceError, RankDeficientError) as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT

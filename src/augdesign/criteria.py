@@ -3,17 +3,14 @@ and the alpha-compromise between estimation and day-effect testing."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from .glm import InvalidPredictorError, ModelSpec, ParamPoint
 from .information import (
     Design,
-    InfoMatrix,
-    MINUS_INF,
     augmented_info_entries,
     inv_quadratic_form,
     log_det,
@@ -48,8 +45,6 @@ class OptimalValues:
     phi_d_at_d_opt: float
     phi_d1_at_d1_opt: float
     phi_d1_at_d_opt: float
-    d_opt_design: Optional[Design] = None
-    d1_opt_design: Optional[Design] = None
 
 
 class ScenarioEnsemble:
@@ -74,16 +69,14 @@ class ScenarioEnsemble:
         coords = initial_design.coords
         days = np.zeros(len(initial_design))
         self._base = []
-        for s in self.scenarios:
+        # Scenario positions keyed by spec identity, not value: hashing a
+        # ModelSpec costs microseconds on every criterion call.
+        self._positions: dict[tuple[int, ParamPoint], int] = {}
+        for i, s in enumerate(self.scenarios):
             self._base.append(
                 augmented_info_entries(s.spec, s.params, coords, days)
             )
-
-    def index_of(self, scenario: Scenario) -> int:
-        for i, s in enumerate(self.scenarios):
-            if s.spec is scenario.spec and s.params == scenario.params:
-                return i
-        raise KeyError("scenario does not belong to this ensemble")
+            self._positions.setdefault((id(s.spec), s.params), i)
 
     def augmented_entries(self, idx: int, new_coords: np.ndarray) -> np.ndarray:
         s = self.scenarios[idx]
@@ -101,7 +94,7 @@ class ScenarioEnsemble:
         vd1_at_d = phi_D1(s, d_opt, self)
         if vd <= 0 or vd1 <= 0 or vd1_at_d <= 0:
             raise ValueError("cached optimal values must be positive")
-        self.cache[idx] = OptimalValues(vd, vd1, vd1_at_d, d_opt, d1_opt)
+        self.cache[idx] = OptimalValues(vd, vd1, vd1_at_d)
 
     def require_cache(self, idx: int) -> OptimalValues:
         if idx not in self.cache:
@@ -136,8 +129,12 @@ class ScenarioEnsemble:
         ]
         return ScenarioEnsemble(scenarios, initial_design, d["m"])
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+
+def _position(ensemble: ScenarioEnsemble, scenario: Scenario) -> int:
+    try:
+        return ensemble._positions[(id(scenario.spec), scenario.params)]
+    except KeyError:
+        raise KeyError("scenario does not belong to this ensemble") from None
 
 
 def _new_coords(new_runs: NewRuns) -> np.ndarray:
@@ -152,38 +149,36 @@ def _new_coords(new_runs: NewRuns) -> np.ndarray:
 
 
 def phi_D(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble) -> float:
-    """|I((X1, X2), s)|^(1/(p+1)) with the day-effect column; 0 if infeasible."""
-    idx = ensemble.index_of(scenario)
+    """|I((X1, X2), s)|^(1/(p+1)) with the day-effect column; 0 if infeasible
+    or singular (a log-determinant of -inf exponentiates to 0)."""
+    idx = _position(ensemble, scenario)
     coords = _new_coords(new_runs)
     try:
         entries = ensemble.augmented_entries(idx, coords)
     except InvalidPredictorError:
         return 0.0
-    ld = log_det(InfoMatrix(entries))
-    if ld == MINUS_INF:
-        return 0.0
-    return float(np.exp(ld / entries.shape[0]))
+    return float(np.exp(log_det(entries) / entries.shape[0]))
 
 
 def phi_D1(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble) -> float:
     """Inverse of the day-effect coordinate of I^{-1}; 0 if singular/infeasible."""
-    idx = ensemble.index_of(scenario)
+    idx = _position(ensemble, scenario)
     coords = _new_coords(new_runs)
     try:
         entries = ensemble.augmented_entries(idx, coords)
     except InvalidPredictorError:
         return 0.0
-    return inv_quadratic_form(InfoMatrix(entries), entries.shape[0] - 1)
+    return inv_quadratic_form(entries, entries.shape[0] - 1)
 
 
 def eff_D(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble) -> float:
-    idx = ensemble.index_of(scenario)
+    idx = _position(ensemble, scenario)
     opt = ensemble.require_cache(idx)
     return phi_D(scenario, new_runs, ensemble) / opt.phi_d_at_d_opt
 
 
 def eff_D1(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble) -> float:
-    idx = ensemble.index_of(scenario)
+    idx = _position(ensemble, scenario)
     opt = ensemble.require_cache(idx)
     return phi_D1(scenario, new_runs, ensemble) / opt.phi_d1_at_d1_opt
 
@@ -192,7 +187,7 @@ def d1_ratio_vs_d_optimum(
     scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble
 ) -> float:
     """Phi_D1 of the candidate relative to Phi_D1 at the locally D-optimal design."""
-    idx = ensemble.index_of(scenario)
+    idx = _position(ensemble, scenario)
     opt = ensemble.require_cache(idx)
     return phi_D1(scenario, new_runs, ensemble) / opt.phi_d1_at_d_opt
 

@@ -39,10 +39,6 @@ class RankDeficientError(ValueError):
     """The model matrix does not have full column rank."""
 
 
-class PredictorOutOfDomainError(InvalidPredictorError):
-    """A fitted linear predictor left the domain of the link inverse."""
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Runs with one positive response value per run and response name."""
@@ -188,21 +184,9 @@ def gamma_log_likelihood(y: np.ndarray, mu: np.ndarray, nu: float) -> float:
     )
 
 
-def _means(link: Link, eta: np.ndarray) -> np.ndarray:
-    """Vectorized link inverse; raises when eta leaves the domain."""
-    if link is Link.LOG:
-        return np.exp(eta)
-    if np.any(eta <= 0.0):
-        bad = float(eta[eta <= 0.0][0])
-        raise PredictorOutOfDomainError(
-            f"{link.value} link requires positive predictors, got {bad}"
-        )
-    return eta if link is Link.IDENTITY else 1.0 / eta
-
-
 def _kernel(link: Link, Z: np.ndarray, beta: np.ndarray, y: np.ndarray) -> float:
     """Gamma log-likelihood kernel at nu=1 (what scoring maximizes over beta)."""
-    mu = _means(link, Z @ beta)
+    mu = link.mean(Z @ beta)
     return float(np.sum(-np.log(mu) - y / mu))
 
 
@@ -210,14 +194,14 @@ def _score_and_info(
     link: Link, Z: np.ndarray, beta: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     eta = Z @ beta
-    mu = _means(link, eta)
+    mu = link.mean(eta)
     if link is Link.IDENTITY:
         dmu = np.ones_like(eta)
     elif link is Link.LOG:
         dmu = mu
     else:
         dmu = -mu * mu
-    w = (dmu / mu) ** 2
+    w = link.weight(eta)
     u = (y - mu) / (mu * mu) * dmu
     return Z.T @ u, (Z * w[:, None]).T @ Z
 
@@ -266,8 +250,8 @@ def fit(
     beta = _starting_point(spec.link, Z, y)
     try:
         current = _kernel(spec.link, Z, beta, y)
-    except PredictorOutOfDomainError as exc:
-        raise PredictorOutOfDomainError(
+    except InvalidPredictorError as exc:
+        raise InvalidPredictorError(
             f"no admissible starting point for response {response!r}: {exc}"
         ) from exc
 
@@ -285,7 +269,7 @@ def fit(
             trial = beta + scale * step
             try:
                 value = _kernel(spec.link, Z, trial, y)
-            except PredictorOutOfDomainError:
+            except InvalidPredictorError:
                 scale *= 0.5
                 continue
             if value >= current - 1e-12 * (1.0 + abs(current)):
@@ -305,7 +289,7 @@ def fit(
             f"Fisher scoring did not converge for response {response!r}"
         )
 
-    mu = _means(spec.link, Z @ beta)
+    mu = spec.link.mean(Z @ beta)
     result = minimize_scalar(
         lambda t: -gamma_log_likelihood(y, mu, math.exp(t)),
         bounds=(-5.0, 14.0),
@@ -348,7 +332,7 @@ def predict(model: FittedModel, runs: Sequence[Run]) -> np.ndarray:
     eta = Z @ np.asarray(model.beta_hat)
     if model.gamma_hat is not None:
         eta = eta + days * model.gamma_hat
-    return _means(model.spec.link, eta)
+    return model.spec.link.mean(eta)
 
 
 def prediction_error(

@@ -9,7 +9,6 @@ under every model.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -34,29 +33,31 @@ class Link(enum.Enum):
     INVERSE = "inverse"
     LOG = "log"
 
-    def mean(self, eta: float) -> float:
-        """Inverse link: map a linear predictor to the Gamma mean."""
-        if self is Link.LOG:
-            return math.exp(eta)
-        if eta <= 0.0:
+    def _check_domain(self, eta) -> None:
+        """Identity and inverse links need every predictor to be positive."""
+        if np.any(eta <= 0.0):
+            bad = np.atleast_1d(eta)
             raise InvalidPredictorError(
-                f"{self.value} link requires a positive predictor, got {eta}"
+                f"{self.value} link requires positive predictors, got "
+                f"{float(bad[bad <= 0.0][0])}"
             )
+
+    def mean(self, eta):
+        """Inverse link: map linear predictors (scalar or array) to Gamma means."""
+        if self is Link.LOG:
+            return np.exp(eta)
+        self._check_domain(eta)
         return eta if self is Link.IDENTITY else 1.0 / eta
 
+    def weight(self, eta):
+        """Weight multiplying z z^T in the Fisher information, elementwise.
 
-def info_weight(link: Link, eta: float) -> float:
-    """Scalar weight multiplying z z^T in the Fisher information.
-
-    1/eta^2 for the identity and inverse links, 1 for the log link.
-    """
-    if link is Link.LOG:
-        return 1.0
-    if eta <= 0.0:
-        raise InvalidPredictorError(
-            f"{link.value} link requires a positive predictor, got {eta}"
-        )
-    return 1.0 / (eta * eta)
+        1/eta^2 for the identity and inverse links, 1 for the log link.
+        """
+        if self is Link.LOG:
+            return np.ones_like(eta)
+        self._check_domain(eta)
+        return 1.0 / (eta * eta)
 
 
 class TermKind(enum.Enum):
@@ -142,21 +143,16 @@ class ModelSpec:
         """Positions of this model's factors inside the global coordinate vector."""
         return tuple(GLOBAL_FACTORS.index(f) for f in self.factors)
 
-    def to_dict(self) -> dict:
-        def term_json(t: Term) -> list:
-            if t.kind is TermKind.INTERCEPT:
-                return ["intercept"]
-            if t.kind is TermKind.MAIN:
-                return ["main", self.factors[t.a]]
-            if t.kind is TermKind.SQUARE:
-                return ["square", self.factors[t.a]]
-            return ["interaction", self.factors[t.a], self.factors[t.b]]
+    def factor_names(self, term: Term) -> tuple[str, ...]:
+        """Names of the factors a term multiplies, in term order."""
+        return tuple(self.factors[i] for i in (term.a, term.b) if i >= 0)
 
+    def to_dict(self) -> dict:
         return {
             "name": self.name,
             "link": self.link.value,
             "factors": list(self.factors),
-            "terms": [term_json(t) for t in self.terms],
+            "terms": [[t.kind.value, *self.factor_names(t)] for t in self.terms],
         }
 
     @staticmethod

@@ -4,16 +4,12 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .glm import (
     GLOBAL_FACTORS,
-    InvalidPredictorError,
-    Link,
     MissingGammaError,
     ModelSpec,
     ParamPoint,
@@ -87,28 +83,6 @@ class Design:
         return Design(tuple(Run(tuple(row), day) for row in arr), label)
 
 
-@dataclass(frozen=True)
-class InfoMatrix:
-    """Symmetric positive-semidefinite information matrix."""
-
-    entries: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-def _weights(link: Link, eta: np.ndarray) -> np.ndarray:
-    if link is Link.LOG:
-        return np.ones_like(eta)
-    if np.any(eta <= 0.0):
-        bad = float(eta[eta <= 0.0][0])
-        raise InvalidPredictorError(
-            f"{link.value} link requires positive predictors, got {bad}"
-        )
-    return 1.0 / (eta * eta)
-
-
 def augmented_info_entries(
     spec: ModelSpec,
     params: ParamPoint,
@@ -119,7 +93,7 @@ def augmented_info_entries(
     Z = regressor_matrix(spec, coords)
     beta = np.asarray(params.beta)
     eta = Z @ beta + days * params.gamma
-    w = _weights(spec.link, eta)
+    w = spec.link.weight(eta)
     Zs = np.column_stack([Z, days.astype(float)])
     return (Zs * w[:, None]).T @ Zs
 
@@ -129,7 +103,7 @@ def fisher_info(
     params: ParamPoint,
     design: Design,
     with_day_effect: bool = True,
-) -> InfoMatrix:
+) -> np.ndarray:
     """Fisher information of a design, optionally with the day-effect column.
 
     With the day effect the regressor is extended by the day flag and the
@@ -139,65 +113,57 @@ def fisher_info(
     """
     if len(params.beta) != spec.p:
         raise ValueError("beta length must equal the spec's term count")
-    coords = design.coords
-    Z = regressor_matrix(spec, coords)
-    beta = np.asarray(params.beta)
     if with_day_effect:
         if params.gamma is None:
             raise MissingGammaError("day-effect information requires gamma")
-        days = design.days.astype(float)
-        eta = Z @ beta + days * params.gamma
-        Zs = np.column_stack([Z, days])
-    else:
-        eta = Z @ beta
-        Zs = Z
-    w = _weights(spec.link, eta)
-    entries = (Zs * w[:, None]).T @ Zs
-    return InfoMatrix(entries)
+        return augmented_info_entries(spec, params, design.coords, design.days)
+    # All-zero day flags leave the p x p block equal to the plain information.
+    day0 = ParamPoint(params.beta, 0.0)
+    return augmented_info_entries(
+        spec, day0, design.coords, np.zeros(len(design))
+    )[:-1, :-1]
 
 
-def log_det(info: InfoMatrix, tol: float = SINGULAR_TOL) -> float:
-    """Log determinant via Cholesky; -inf when numerically singular.
+def _cholesky(a: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of ``a``, or None when ``a`` is numerically singular.
 
-    A pivot is considered zero when its square falls below ``tol`` times
-    the largest diagonal entry of the matrix.
+    A pivot is considered zero when its square falls below SINGULAR_TOL
+    times the largest diagonal entry of the matrix.
     """
-    a = info.entries
     scale = float(np.max(np.diag(a))) if a.size else 0.0
     if scale <= 0.0:
-        return MINUS_INF
+        return None
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        return MINUS_INF
+        return None
     piv = np.diag(chol)
-    if np.min(piv * piv) < tol * scale:
+    if np.min(piv * piv) < SINGULAR_TOL * scale:
+        return None
+    return chol
+
+
+def log_det(a: np.ndarray) -> float:
+    """Log determinant via Cholesky; -inf when numerically singular."""
+    chol = _cholesky(a)
+    if chol is None:
         return MINUS_INF
-    return 2.0 * float(np.sum(np.log(piv)))
+    return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
-def inv_quadratic_form(info: InfoMatrix, index: int) -> float:
-    """(e^T I^{-1} e)^{-1} for the given coordinate, via one linear solve.
+def inv_quadratic_form(a: np.ndarray, index: int) -> float:
+    """(e^T I^{-1} e)^{-1} for the given coordinate; 0.0 when singular.
 
-    Returns 0.0 when the matrix is singular (the criterion-zero signal).
+    With the coordinate ordered last and I = L L^T, (I^{-1})_nn = 1 / L_nn^2,
+    so the value is the square of the factor's last pivot.
     """
-    a = info.entries
     n = a.shape[0]
     if not 0 <= index < n:
         raise IndexError(f"index {index} out of range for dim {n}")
-    scale = float(np.max(np.diag(a))) if a.size else 0.0
-    if scale <= 0.0:
+    if index != n - 1:
+        order = [*range(index), *range(index + 1, n), index]
+        a = a[np.ix_(order, order)]
+    chol = _cholesky(a)
+    if chol is None:
         return 0.0
-    try:
-        cho = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        return 0.0
-    piv = np.diag(cho[0])
-    if np.min(piv * piv) < SINGULAR_TOL * scale:
-        return 0.0
-    e = np.zeros(n)
-    e[index] = 1.0
-    q = float(e @ scipy.linalg.cho_solve(cho, e, check_finite=False))
-    if q <= 0.0 or not math.isfinite(q):
-        return 0.0
-    return 1.0 / q
+    return float(chol[-1, -1] ** 2)

@@ -3,8 +3,6 @@ and the solvers for local, Bayesian, and compromise criteria."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -18,6 +16,7 @@ from .criteria import (
     phi_bayes,
     phi_compromise,
 )
+from .data import PUBLISHED_DESIGNS
 from .glm import COORD_MAX, COORD_MIN, GLOBAL_FACTORS as COORD_NAMES
 from .information import Design
 
@@ -46,23 +45,6 @@ class PsoConfig:
         if self.iterations < 1 or self.restarts < 1:
             raise ValueError("iterations and restarts must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "swarm_size": self.swarm_size,
-            "iterations": self.iterations,
-            "inertia": self.inertia,
-            "cognitive": self.cognitive,
-            "social": self.social,
-            "restarts": self.restarts,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "stagnation_window": self.stagnation_window,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "PsoConfig":
-        return PsoConfig(**d)
-
 
 @dataclass
 class SearchResult:
@@ -80,19 +62,10 @@ class SearchResult:
     best_fragment: Optional[np.ndarray] = None
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("ODEX_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _evaluate(objective: Objective, positions: np.ndarray, m: int, dims: int,
-              pool: Optional[ThreadPoolExecutor]) -> np.ndarray:
+def _evaluate(objective: Objective, positions: np.ndarray, m: int,
+              dims: int) -> np.ndarray:
     fragments = positions.reshape(len(positions), m, dims)
-    if pool is None:
-        return np.array([objective(f) for f in fragments])
-    return np.array(list(pool.map(objective, fragments)))
+    return np.array([objective(f) for f in fragments])
 
 
 def _expand(fragment: np.ndarray, indices: tuple[int, ...]) -> np.ndarray:
@@ -113,8 +86,8 @@ def pso_maximize(
 
     ``objective`` maps an (m, dims) fragment to a real value and must return
     0 (or -inf) for infeasible fragments.  ``seeds`` are fragments placed as
-    initial particles in every restart.  All random draws happen on the main
-    thread, so results are independent of evaluation parallelism.
+    initial particles in every restart.  The objective is called on the
+    calling thread, one fragment at a time.
     """
     if m < 1 or dims < 1:
         raise ValueError("m and dims must be positive")
@@ -123,63 +96,57 @@ def pso_maximize(
     if len(flat_seeds) > config.swarm_size:
         flat_seeds = flat_seeds[: config.swarm_size]
 
-    threads = _thread_count()
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     span = COORD_MAX - COORD_MIN
     best_flat: Optional[np.ndarray] = None
     best_value = -np.inf
     histories: list[tuple[float, ...]] = []
     evaluations = 0
-    try:
-        for child in np.random.SeedSequence(config.seed).spawn(config.restarts):
-            rng = np.random.default_rng(child)
-            x = rng.uniform(COORD_MIN, COORD_MAX, size=(config.swarm_size, d))
-            v = rng.uniform(-span, span, size=(config.swarm_size, d)) * 0.25
-            for i, s in enumerate(flat_seeds):
-                x[i] = s
-                v[i] = 0.0
+    for child in np.random.SeedSequence(config.seed).spawn(config.restarts):
+        rng = np.random.default_rng(child)
+        x = rng.uniform(COORD_MIN, COORD_MAX, size=(config.swarm_size, d))
+        v = rng.uniform(-span, span, size=(config.swarm_size, d)) * 0.25
+        for i, s in enumerate(flat_seeds):
+            x[i] = s
+            v[i] = 0.0
 
-            values = _evaluate(objective, x, m, dims, pool)
+        values = _evaluate(objective, x, m, dims)
+        evaluations += len(values)
+        pbest, pval = x.copy(), values.copy()
+        g = int(np.argmax(pval))
+        gbest, gval = pbest[g].copy(), float(pval[g])
+        history = [gval]
+        since_improvement = 0
+        for _ in range(config.iterations):
+            r1 = rng.uniform(size=(config.swarm_size, d))
+            r2 = rng.uniform(size=(config.swarm_size, d))
+            v = (
+                config.inertia * v
+                + config.cognitive * r1 * (pbest - x)
+                + config.social * r2 * (gbest - x)
+            )
+            x = x + v
+            clamped = (x < COORD_MIN) | (x > COORD_MAX)
+            np.clip(x, COORD_MIN, COORD_MAX, out=x)
+            v[clamped] = 0.0
+
+            values = _evaluate(objective, x, m, dims)
             evaluations += len(values)
-            pbest, pval = x.copy(), values.copy()
+            improved = values > pval
+            pbest[improved] = x[improved]
+            pval[improved] = values[improved]
             g = int(np.argmax(pval))
-            gbest, gval = pbest[g].copy(), float(pval[g])
-            history = [gval]
-            since_improvement = 0
-            for _ in range(config.iterations):
-                r1 = rng.uniform(size=(config.swarm_size, d))
-                r2 = rng.uniform(size=(config.swarm_size, d))
-                v = (
-                    config.inertia * v
-                    + config.cognitive * r1 * (pbest - x)
-                    + config.social * r2 * (gbest - x)
-                )
-                x = x + v
-                clamped = (x < COORD_MIN) | (x > COORD_MAX)
-                np.clip(x, COORD_MIN, COORD_MAX, out=x)
-                v[clamped] = 0.0
-
-                values = _evaluate(objective, x, m, dims, pool)
-                evaluations += len(values)
-                improved = values > pval
-                pbest[improved] = x[improved]
-                pval[improved] = values[improved]
-                g = int(np.argmax(pval))
-                if float(pval[g]) > gval + config.tolerance:
-                    since_improvement = 0
-                else:
-                    since_improvement += 1
-                if float(pval[g]) > gval:
-                    gbest, gval = pbest[g].copy(), float(pval[g])
-                history.append(gval)
-                if since_improvement >= config.stagnation_window:
-                    break
-            histories.append(tuple(history))
-            if gval > best_value:
-                best_value, best_flat = gval, gbest
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            if float(pval[g]) > gval + config.tolerance:
+                since_improvement = 0
+            else:
+                since_improvement += 1
+            if float(pval[g]) > gval:
+                gbest, gval = pbest[g].copy(), float(pval[g])
+            history.append(gval)
+            if since_improvement >= config.stagnation_window:
+                break
+        histories.append(tuple(history))
+        if gval > best_value:
+            best_value, best_flat = gval, gbest
 
     assert best_flat is not None
     fragment = best_flat.reshape(m, dims)
@@ -199,8 +166,6 @@ def _published_seeds(m: int, indices: tuple[int, ...]) -> list[np.ndarray]:
         [[COORD_MAX if (i + j) % 2 == 0 else COORD_MIN for j in range(dims)]
          for i in range(m)]
     ))
-    from .data import PUBLISHED_DESIGNS
-
     for design in PUBLISHED_DESIGNS.values():
         if len(design) == m:
             seeds.append(design.coords[:, list(indices)])

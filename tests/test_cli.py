@@ -111,6 +111,21 @@ class TestDesignCommand:
         code, _, _ = run_cli(capsys, "design", "--criterion", "E")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--criterion", "compromise", "--alpha", "3"],
+            ["--criterion", "bayesD", "--m", "-1"],
+            ["--criterion", "D", "--swarm", "1"],
+        ],
+        ids=["alpha-outside-unit-interval", "negative-m", "swarm-of-one"],
+    )
+    def test_bad_search_argument_is_usage_error(self, capsys, argv):
+        code, _, _ = run_cli(
+            capsys, "design", "--iters", "2", "--restarts", "1", *argv
+        )
+        assert code == EXIT_USAGE
+
 
 class TestEfficiencyCommand:
     def test_self_comparison_is_100(self, capsys, tmp_path):

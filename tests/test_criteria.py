@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from augdesign import (
     Design,
@@ -12,8 +12,6 @@ from augdesign import (
     eff_D,
     eff_D1,
     fisher_info,
-    inv_quadratic_form,
-    log_det,
     phi_D,
     phi_D1,
     phi_bayes,
@@ -68,7 +66,7 @@ class TestEnsemble:
         ens = data.single_scenario_ensemble("velocity")
         other = Scenario(data.MODELS["temperature"], data.ESTIMATES["temperature"])
         with pytest.raises(KeyError):
-            ens.index_of(other)
+            phi_D(other, data.REFERENCE_DESIGN, ens)
 
     def test_json_round_trip(self):
         ens = data.model_ensemble("pm10")
@@ -84,24 +82,50 @@ class TestEnsemble:
             eff_D(ens.scenarios[0], data.REFERENCE_DESIGN, ens)
 
 
+# pm10pm20 holds five day-effect values per model, so drawing a model and a
+# variant index covers all twenty scenarios.
+PM10PM20 = data.model_ensemble("pm10pm20")
+VARIANTS = 5
+new_runs_strategy = st.lists(
+    st.tuples(*[st.floats(-2, 2, allow_nan=False) for _ in range(4)]),
+    min_size=4, max_size=4,
+)
+
+
+def direct_information(name, variant, new_runs):
+    """The scenario and its information matrix, assembled from the whole
+    design rather than the ensemble's cached initial block."""
+    s = PM10PM20.scenarios[data.RESPONSES.index(name) * VARIANTS + variant]
+    design = data.initial_design().concat(Design.from_coords(new_runs, day=1))
+    return s, fisher_info(s.spec, s.params, design)
+
+
 class TestPhi:
-    @pytest.mark.parametrize("name", data.RESPONSES)
-    def test_phi_d_matches_direct_information(self, name):
-        ens = data.single_scenario_ensemble(name)
-        s = ens.scenarios[0]
-        design = data.initial_design().concat(data.REFERENCE_DESIGN)
-        info = fisher_info(s.spec, s.params, design)
-        expect = np.exp(log_det(info) / info.dim)
-        assert phi_D(s, data.REFERENCE_DESIGN, ens) == pytest.approx(expect)
+    """phi_D and phi_D1 (Cholesky) against an LU-based numpy oracle."""
 
     @pytest.mark.parametrize("name", data.RESPONSES)
-    def test_phi_d1_matches_direct_information(self, name):
-        ens = data.single_scenario_ensemble(name)
-        s = ens.scenarios[0]
-        design = data.initial_design().concat(data.REFERENCE_DESIGN)
-        info = fisher_info(s.spec, s.params, design)
-        expect = inv_quadratic_form(info, info.dim - 1)
-        assert phi_D1(s, data.REFERENCE_DESIGN, ens) == pytest.approx(expect)
+    @settings(max_examples=25, deadline=None)
+    @given(new_runs=new_runs_strategy, variant=st.integers(0, VARIANTS - 1))
+    @example(new_runs=data.REFERENCE_DESIGN.coords, variant=2)
+    def test_phi_d_matches_direct_information(self, name, new_runs, variant):
+        s, info = direct_information(name, variant, new_runs)
+        sign, logdet = np.linalg.slogdet(info)
+        assert sign == 1.0
+        expect = np.exp(logdet / len(info))
+        assert phi_D(s, np.array(new_runs), PM10PM20) == pytest.approx(
+            expect, rel=1e-9
+        )
+
+    @pytest.mark.parametrize("name", data.RESPONSES)
+    @settings(max_examples=25, deadline=None)
+    @given(new_runs=new_runs_strategy, variant=st.integers(0, VARIANTS - 1))
+    @example(new_runs=data.REFERENCE_DESIGN.coords, variant=2)
+    def test_phi_d1_matches_direct_information(self, name, new_runs, variant):
+        s, info = direct_information(name, variant, new_runs)
+        expect = 1.0 / np.linalg.inv(info)[-1, -1]
+        assert phi_D1(s, np.array(new_runs), PM10PM20) == pytest.approx(
+            expect, rel=1e-9
+        )
 
     def test_no_new_runs_gives_zero(self):
         ens = data.single_scenario_ensemble("temperature")

@@ -12,7 +12,6 @@ from augdesign import (
     ParamPoint,
     Run,
     Term,
-    info_weight,
     linear_predictor,
     regressor,
     regressor_matrix,
@@ -40,16 +39,16 @@ class TestLink:
             link.mean(0.0)
 
     def test_log_weight_is_one(self):
-        assert info_weight(Link.LOG, -7.0) == 1.0
+        assert Link.LOG.weight(-7.0) == 1.0
 
     @pytest.mark.parametrize("link", [Link.IDENTITY, Link.INVERSE])
     def test_weight_is_inverse_square(self, link):
-        assert info_weight(link, 4.0) == pytest.approx(1 / 16)
+        assert link.weight(4.0) == pytest.approx(1 / 16)
 
     @pytest.mark.parametrize("link", [Link.IDENTITY, Link.INVERSE])
     def test_weight_domain(self, link):
         with pytest.raises(InvalidPredictorError):
-            info_weight(link, -1.0)
+            link.weight(-1.0)
 
 
 class TestTerm:

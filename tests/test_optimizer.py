@@ -1,3 +1,6 @@
+import dataclasses
+import threading
+
 import numpy as np
 import pytest
 
@@ -44,7 +47,7 @@ class TestConfig:
 
     def test_dict_round_trip(self):
         cfg = PsoConfig(swarm_size=33, seed=5)
-        assert PsoConfig.from_dict(cfg.to_dict()) == cfg
+        assert PsoConfig(**dataclasses.asdict(cfg)) == cfg
 
 
 class TestPsoMaximize:
@@ -67,13 +70,16 @@ class TestPsoMaximize:
         assert a.history == b.history
         assert a.evaluations == b.evaluations
 
-    def test_thread_count_does_not_change_result(self, monkeypatch):
-        monkeypatch.setenv("ODEX_THREADS", "1")
-        a = pso_maximize(sphere, 2, 4, SMALL)
+    def test_objective_runs_on_calling_thread(self, monkeypatch):
         monkeypatch.setenv("ODEX_THREADS", "4")
-        b = pso_maximize(sphere, 2, 4, SMALL)
-        assert np.array_equal(a.best_fragment, b.best_fragment)
-        assert a.history == b.history
+        callers = set()
+
+        def objective(fragment):
+            callers.add(threading.get_ident())
+            return sphere(fragment)
+
+        pso_maximize(objective, 2, 4, SMALL)
+        assert callers == {threading.get_ident()}
 
     def test_history_is_monotone_per_restart(self):
         result = pso_maximize(sphere, 2, 4, SMALL)
