@@ -6,6 +6,7 @@ and compromise criteria via particle swarm search.
 """
 
 from .criteria import (
+    DegenerateOptimumError,
     MissingCacheError,
     OptimalValues,
     Scenario,

@@ -10,6 +10,7 @@ from pathlib import Path
 
 from . import data
 from .criteria import (
+    DegenerateOptimumError,
     MissingCacheError,
     Scenario,
     ScenarioEnsemble,
@@ -185,21 +186,16 @@ def cmd_design(args) -> int:
                   "evaluations": result.evaluations}
     else:
         names = args.models.split(",") if args.models else list(data.RESPONSES)
-        if set(names) <= set(data.RESPONSES) and len(names) == len(data.RESPONSES):
-            ensemble = data.model_ensemble(args.gammas, args.m)
+        if len(set(names)) != len(names):
+            raise UsageError(f"--models names a model twice: {args.models}")
+        scenarios = [_scenario_from_arg(n) for n in names]
+        ensemble = data.model_ensemble(args.gammas, args.m, scenarios)
+        build_cache(ensemble, config)
+        if args.criterion == "compromise":
+            result = solve_compromise(ensemble, args.alpha, config)
         else:
-            scenarios = [_scenario_from_arg(n) for n in names]
-            ensemble = ScenarioEnsemble(scenarios, data.initial_design(), args.m)
-        try:
-            build_cache(ensemble, config)
-            if args.criterion == "compromise":
-                result = solve_compromise(ensemble, args.alpha, config)
-            else:
-                flavor = "D" if args.criterion == "bayesD" else "D1"
-                result = solve_bayes(ensemble, flavor, config)
-        except (MissingCacheError, ValueError) as exc:
-            print(f"error: cache build failed: {exc}", file=sys.stderr)
-            return EXIT_CACHE
+            flavor = "D" if args.criterion == "bayesD" else "D1"
+            result = solve_bayes(ensemble, flavor, config)
         report = {
             "criterion": args.criterion,
             "value": result.best_value,
@@ -325,7 +321,7 @@ def main(argv=None) -> int:
     except (DivergenceError, RankDeficientError) as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT
-    except MissingCacheError as exc:
+    except (MissingCacheError, DegenerateOptimumError) as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_CACHE
     except DimensionError as exc:

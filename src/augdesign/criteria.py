@@ -23,6 +23,10 @@ class MissingCacheError(RuntimeError):
     """An efficiency was requested before the locally-optimal cache was built."""
 
 
+class DegenerateOptimumError(ValueError):
+    """A locally optimal design scores zero, so efficiencies against it fail."""
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One atom s = (g, z, beta, gamma) of the discrete prior."""
@@ -93,7 +97,7 @@ class ScenarioEnsemble:
         vd1 = phi_D1(s, d1_opt, self)
         vd1_at_d = phi_D1(s, d_opt, self)
         if vd <= 0 or vd1 <= 0 or vd1_at_d <= 0:
-            raise ValueError("cached optimal values must be positive")
+            raise DegenerateOptimumError("cached optimal values must be positive")
         self.cache[idx] = OptimalValues(vd, vd1, vd1_at_d)
 
     def require_cache(self, idx: int) -> OptimalValues:
@@ -102,32 +106,6 @@ class ScenarioEnsemble:
                 f"no cached optimum for scenario {idx}; build the cache first"
             )
         return self.cache[idx]
-
-    def to_dict(self) -> dict:
-        return {
-            "scenarios": [
-                {
-                    "model": s.spec.to_dict(),
-                    "beta": list(s.params.beta),
-                    "gamma": s.params.gamma,
-                    "weight": s.weight,
-                }
-                for s in self.scenarios
-            ],
-            "m": self.m,
-        }
-
-    @staticmethod
-    def from_dict(d: dict, initial_design: Design) -> "ScenarioEnsemble":
-        scenarios = [
-            Scenario(
-                spec=ModelSpec.from_dict(item["model"]),
-                params=ParamPoint(tuple(item["beta"]), item["gamma"]),
-                weight=item["weight"],
-            )
-            for item in d["scenarios"]
-        ]
-        return ScenarioEnsemble(scenarios, initial_design, d["m"])
 
 
 def _position(ensemble: ScenarioEnsemble, scenario: Scenario) -> int:

@@ -158,14 +158,13 @@ BIC_VALUES: dict[str, float] = {
 }
 
 
-def _design(coords, day, label):
-    return Design.from_coords(np.asarray(coords, dtype=float), day=day, label=label)
+def _design(coords):
+    return Design.from_coords(coords, day=1)
 
 
 # Fractional-factorial reference design for the four additional runs.
 REFERENCE_DESIGN = _design(
-    [[1, 1, -1, -1], [-1, 1, 1, -1], [1, 1, 1, 1], [1, -1, 1, -1]],
-    day=1, label="reference",
+    [[1, 1, -1, -1], [-1, 1, 1, -1], [1, 1, 1, 1], [1, -1, 1, -1]]
 )
 
 # Locally D-optimal designs.  The temperature model has no FDV term, so the
@@ -178,20 +177,16 @@ REFERENCE_DESIGN = _design(
 LOCAL_D_OPTIMAL: dict[str, Design] = {
     "temperature": _design(
         [[-2, -0.07, -2, -0.58], [2, -0.13, 2, 0.32],
-         [2, 2, -2, -0.39], [-2, -2, 2, 0.34]],
-        day=1, label="local-D/temperature",
+         [2, 2, -2, -0.39], [-2, -2, 2, 0.34]]
     ),
     "velocity": _design(
-        [[-2, 2, -2, 2], [-2, -2, 2, 2], [2, 2, -2, -2], [2, -2, 2, -2]],
-        day=1, label="local-D/velocity",
+        [[-2, 2, -2, 2], [-2, -2, 2, 2], [2, 2, -2, -2], [2, -2, 2, -2]]
     ),
     "flame_width": _design(
-        [[2, 0.37, 2, 2], [-2, 2, -2, 2], [-2, 0.08, -2, 2], [2, 0.37, -2, -2]],
-        day=1, label="local-D/flame_width",
+        [[2, 0.37, 2, 2], [-2, 2, -2, 2], [-2, 0.08, -2, 2], [2, 0.37, -2, -2]]
     ),
     "flame_intensity": _design(
-        [[2, 2, 2, -2], [-2, -2, 2, -2], [0.47, -0.95, 2, -0.64], [2, -2, -2, -2]],
-        day=1, label="local-D/flame_intensity",
+        [[2, 2, 2, -2], [-2, -2, 2, -2], [0.47, -0.95, 2, -0.64], [2, -2, -2, -2]]
     ),
 }
 
@@ -200,52 +195,42 @@ LOCAL_D_OPTIMAL: dict[str, Design] = {
 LOCAL_D1_OPTIMAL: dict[str, Design] = {
     "temperature": _design(
         [[-1.23, -1.32, -0.05, 0], [0.10, 0.94, 0.81, 0],
-         [0.28, 0.64, 0.42, 0], [1.20, -0.64, -0.89, 0]],
-        day=1, label="local-D1/temperature",
+         [0.28, 0.64, 0.42, 0], [1.20, -0.64, -0.89, 0]]
     ),
     "velocity": _design(
         [[0.00, 0.96, 0.64, -0.73], [-0.54, -0.62, -1.90, 0.84],
-         [0.40, -1.12, 1.31, -1.25], [0.13, 0.79, -0.05, 1.14]],
-        day=1, label="local-D1/velocity",
+         [0.40, -1.12, 1.31, -1.25], [0.13, 0.79, -0.05, 1.14]]
     ),
     "flame_width": _design(
         [[-1.02, 0.29, 1.72, -1.83], [-1.81, 0.99, 0.29, 1.92],
-         [0.07, -1.07, -1.40, -0.29], [1.54, 0.28, -1.58, 1.50]],
-        day=1, label="local-D1/flame_width",
+         [0.07, -1.07, -1.40, -0.29], [1.54, 0.28, -1.58, 1.50]]
     ),
     "flame_intensity": _design(
         [[1.59, 1.03, 1.30, -1.075], [0.09, -1.53, 1.43, -0.51],
-         [0.00, -0.61, -0.66, 0.64], [-0.85, 0.22, -1.79, -1.11]],
-        day=1, label="local-D1/flame_intensity",
+         [0.00, -0.61, -0.66, 0.64], [-0.85, 0.22, -1.79, -1.11]]
     ),
 }
 
 BAYES_D_FIXED = _design(
-    [[2, 2, 2, 2], [2, -2, 2, -2], [-2, 0.34, -2, 2], [-2, -2, -2, -2]],
-    day=1, label="bayes-D/fixed-gamma",
+    [[2, 2, 2, 2], [2, -2, 2, -2], [-2, 0.34, -2, 2], [-2, -2, -2, -2]]
 )
 BAYES_D_PM10 = _design(
-    [[2, 2, 2, -2], [2, -2, -2, -2], [-2, 0.37, -2, 2], [-2, -2, 2, 2]],
-    day=1, label="bayes-D/pm10",
+    [[2, 2, 2, -2], [2, -2, -2, -2], [-2, 0.37, -2, 2], [-2, -2, 2, 2]]
 )
 BAYES_D1_FIXED = _design(
     [[0.03, -1.62, 2.00, -0.65], [0.90, 0.36, 0.44, -0.57],
-     [1.11, 0.53, -2.00, -0.70], [-1.83, 0.54, -0.53, 2.00]],
-    day=1, label="bayes-D1/fixed-gamma",
+     [1.11, 0.53, -2.00, -0.70], [-1.83, 0.54, -0.53, 2.00]]
 )
 BAYES_D1_PM10 = _design(
     [[-0.57, 0.13, -1.15, -0.96], [0.46, -1.53, 1.97, -0.61],
-     [-1.37, 0.45, -0.61, 1.83], [1.42, 0.84, -0.27, -0.60]],
-    day=1, label="bayes-D1/pm10",
+     [-1.37, 0.45, -0.61, 1.83], [1.42, 0.84, -0.27, -0.60]]
 )
 COMPROMISE_DESIGN = _design(
     [[0.10, 0.17, 2.00, -0.76], [0.29, -2.00, -2.00, -1.05],
-     [1.75, 0.58, 2.00, -0.08], [-2.00, 0.41, -2.00, 2.00]],
-    day=1, label="compromise/alpha-0.5",
+     [1.75, 0.58, 2.00, -0.08], [-2.00, 0.41, -2.00, 2.00]]
 )
 BAYES_D_FIVE_GAMMA = _design(
-    [[2, 2, 2, -0.53], [-2, -2, 2, -2], [-2, 0.31, -2, 2], [2, -2, -2, -2]],
-    day=1, label="bayes-D/five-gamma",
+    [[2, 2, 2, -0.53], [-2, -2, 2, -2], [-2, 0.31, -2, 2], [2, -2, -2, -2]]
 )
 
 PUBLISHED_DESIGNS: dict[str, Design] = {
@@ -262,7 +247,7 @@ PUBLISHED_DESIGNS: dict[str, Design] = {
 
 
 def initial_design() -> Design:
-    return Design.from_coords(CCD30[:, :4], day=0, label="ccd-30")
+    return Design.from_coords(CCD30[:, :4], day=0)
 
 
 def _dataset(table: np.ndarray, day: int) -> Dataset:
@@ -293,10 +278,13 @@ def single_scenario_ensemble(response: str, m: int = 4) -> ScenarioEnsemble:
     return ScenarioEnsemble([s], initial_design(), m)
 
 
-def model_ensemble(gammas: str = "fixed", m: int = 4) -> ScenarioEnsemble:
-    """Equal-weight ensemble over the four models.
+def model_ensemble(
+    gammas: str = "fixed", m: int = 4, scenarios: list[Scenario] | None = None
+) -> ScenarioEnsemble:
+    """Ensemble over ``scenarios`` (default: the four bundled models), each
+    expanded by the day-effect factors of ``gammas``.
 
-    gammas: 'fixed' (one value per model), 'pm10' (gamma, gamma +- 10%),
+    gammas: 'fixed' (one value per scenario), 'pm10' (gamma, gamma +- 10%),
     or 'pm10pm20' (gamma, +-10%, +-20%).
     """
     factors = {
@@ -304,14 +292,14 @@ def model_ensemble(gammas: str = "fixed", m: int = 4) -> ScenarioEnsemble:
         "pm10": (0.9, 1.0, 1.1),
         "pm10pm20": (0.8, 0.9, 1.0, 1.1, 1.2),
     }[gammas]
-    scenarios = []
-    for name in RESPONSES:
-        base = ESTIMATES[name]
-        for c in factors:
-            scenarios.append(
-                Scenario(MODELS[name], ParamPoint(base.beta, base.gamma * c), 1.0)
-            )
-    return ScenarioEnsemble(scenarios, initial_design(), m)
+    if scenarios is None:
+        scenarios = [Scenario(MODELS[n], ESTIMATES[n], 1.0) for n in RESPONSES]
+    expanded = [
+        Scenario(s.spec, ParamPoint(s.params.beta, s.params.gamma * c), s.weight)
+        for s in scenarios
+        for c in factors
+    ]
+    return ScenarioEnsemble(expanded, initial_design(), m)
 
 
 def table_checksums() -> dict[str, str]:

@@ -50,13 +50,16 @@ class Dataset:
         n = len(self.runs)
         if n == 0:
             raise ValueError("a dataset needs at least one run")
-        for name, values in self.responses.items():
-            arr = np.asarray(values, dtype=float)
+        # A new dict, so the caller's mapping is left as it was passed.
+        object.__setattr__(self, "responses", {
+            name: np.asarray(values, dtype=float)
+            for name, values in self.responses.items()
+        })
+        for name, arr in self.responses.items():
             if arr.shape != (n,):
                 raise ValueError(f"response {name!r} must have one value per run")
             if np.any(arr <= 0.0):
                 raise ValueError(f"response {name!r} has nonpositive values")
-            self.responses[name] = arr
 
     def __len__(self) -> int:
         return len(self.runs)

@@ -181,15 +181,10 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class ParamPoint:
-    """Coefficients on the linked scale, optional day effect, shape parameter."""
+    """Coefficients on the linked scale and optional day effect."""
 
     beta: tuple[float, ...]
     gamma: Optional[float] = None
-    nu: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.nu <= 0:
-            raise ValueError("shape parameter must be positive")
 
 
 @dataclass(frozen=True)

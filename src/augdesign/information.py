@@ -30,7 +30,6 @@ class Design:
     """An ordered list of runs; may mix fixed day-0 and new day-1 runs."""
 
     runs: tuple[Run, ...]
-    label: str = ""
 
     def __post_init__(self) -> None:
         if not self.runs:
@@ -52,12 +51,12 @@ class Design:
         first = tuple(r for r in self.runs if r.day == 0)
         second = tuple(r for r in self.runs if r.day == 1)
         return (
-            Design(first, self.label + "/initial") if first else None,
-            Design(second, self.label + "/new") if second else None,
+            Design(first) if first else None,
+            Design(second) if second else None,
         )
 
-    def concat(self, other: "Design", label: str = "") -> "Design":
-        return Design(self.runs + other.runs, label or self.label)
+    def concat(self, other: "Design") -> "Design":
+        return Design(self.runs + other.runs)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -68,19 +67,19 @@ class Design:
         return buf.getvalue()
 
     @staticmethod
-    def from_csv(text: str, label: str = "") -> "Design":
+    def from_csv(text: str) -> "Design":
         reader = csv.DictReader(io.StringIO(text))
         runs = []
         for row in reader:
             coords = tuple(float(row[f]) for f in GLOBAL_FACTORS)
             day = int(row.get("day", 0) or 0)
             runs.append(Run(coords, day))
-        return Design(tuple(runs), label)
+        return Design(tuple(runs))
 
     @staticmethod
-    def from_coords(coords, day: int = 0, label: str = "") -> "Design":
+    def from_coords(coords, day: int = 0) -> "Design":
         arr = np.atleast_2d(np.asarray(coords, dtype=float))
-        return Design(tuple(Run(tuple(row), day) for row in arr), label)
+        return Design(tuple(Run(tuple(row), day) for row in arr))
 
 
 def augmented_info_entries(

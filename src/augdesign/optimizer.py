@@ -21,29 +21,33 @@ from .glm import COORD_MAX, COORD_MIN, GLOBAL_FACTORS as COORD_NAMES
 from .information import Design
 
 Objective = Callable[[np.ndarray], float]
+ALL_FACTORS = tuple(range(len(COORD_NAMES)))
+
+
+# Standard constriction coefficients (Clerc & Kennedy 2002).
+INERTIA = 0.72
+COGNITIVE = 1.49
+SOCIAL = 1.49
+# A restart stops after STAGNATION_WINDOW iterations in which the global best
+# rose by no more than TOLERANCE.
+TOLERANCE = 1e-9
+STAGNATION_WINDOW = 100
 
 
 @dataclass(frozen=True)
 class PsoConfig:
     swarm_size: int = 100
     iterations: int = 1000
-    inertia: float = 0.72
-    cognitive: float = 1.49
-    social: float = 1.49
     restarts: int = 5
     seed: int = 0
-    tolerance: float = 1e-9
-    stagnation_window: int = 100
 
     def __post_init__(self) -> None:
         if self.swarm_size < 2:
             raise ValueError("swarm_size must be at least 2")
-        if not 0.0 < self.inertia < 1.0:
-            raise ValueError("inertia must lie in (0, 1)")
-        if self.cognitive <= 0 or self.social <= 0:
-            raise ValueError("cognitive and social weights must be positive")
         if self.iterations < 1 or self.restarts < 1:
             raise ValueError("iterations and restarts must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass
@@ -51,8 +55,8 @@ class SearchResult:
     """Outcome of one multi-restart swarm search.
 
     ``best_fragment`` is the winning point in the raw search space
-    (m x search-dims); ``best_design`` holds the same runs in full
-    4-factor coordinates, with inactive factors at 0.
+    (m x search-dims); the solvers set ``best_design`` to the same runs in
+    full 4-factor coordinates, with inactive factors at 0.
     """
 
     best_design: Optional[Design]
@@ -120,9 +124,9 @@ def pso_maximize(
             r1 = rng.uniform(size=(config.swarm_size, d))
             r2 = rng.uniform(size=(config.swarm_size, d))
             v = (
-                config.inertia * v
-                + config.cognitive * r1 * (pbest - x)
-                + config.social * r2 * (gbest - x)
+                INERTIA * v
+                + COGNITIVE * r1 * (pbest - x)
+                + SOCIAL * r2 * (gbest - x)
             )
             x = x + v
             clamped = (x < COORD_MIN) | (x > COORD_MAX)
@@ -135,14 +139,14 @@ def pso_maximize(
             pbest[improved] = x[improved]
             pval[improved] = values[improved]
             g = int(np.argmax(pval))
-            if float(pval[g]) > gval + config.tolerance:
+            if float(pval[g]) > gval + TOLERANCE:
                 since_improvement = 0
             else:
                 since_improvement += 1
             if float(pval[g]) > gval:
                 gbest, gval = pbest[g].copy(), float(pval[g])
             history.append(gval)
-            if since_improvement >= config.stagnation_window:
+            if since_improvement >= STAGNATION_WINDOW:
                 break
         histories.append(tuple(history))
         if gval > best_value:
@@ -151,10 +155,7 @@ def pso_maximize(
     assert best_flat is not None
     fragment = best_flat.reshape(m, dims)
     recomputed = float(objective(fragment))
-    design = None
-    if dims == len(COORD_NAMES):
-        design = Design.from_coords(fragment, day=1, label="pso")
-    return SearchResult(design, recomputed, tuple(histories), evaluations, fragment)
+    return SearchResult(None, recomputed, tuple(histories), evaluations, fragment)
 
 
 def _published_seeds(m: int, indices: tuple[int, ...]) -> list[np.ndarray]:
@@ -170,6 +171,19 @@ def _published_seeds(m: int, indices: tuple[int, ...]) -> list[np.ndarray]:
         if len(design) == m:
             seeds.append(design.coords[:, list(indices)])
     return seeds
+
+
+def _search(
+    objective: Objective, m: int, indices: tuple[int, ...], config: PsoConfig
+) -> SearchResult:
+    """Seeded swarm search over the factors ``indices``; the best fragment
+    becomes a day-1 design with the other factors at 0."""
+    seeds = _published_seeds(m, indices)
+    result = pso_maximize(objective, m, len(indices), config, seeds)
+    result.best_design = Design.from_coords(
+        _expand(result.best_fragment, indices), day=1
+    )
+    return result
 
 
 def solve_local(
@@ -195,15 +209,7 @@ def solve_local(
     def objective(fragment: np.ndarray) -> float:
         return phi(scenario, _expand(fragment, indices), ensemble)
 
-    seeds = _published_seeds(m, indices)
-    result = pso_maximize(objective, m, len(indices), config, seeds)
-    design = Design.from_coords(
-        _expand(result.best_fragment, indices),
-        day=1,
-        label=f"local-{flavor}/{scenario.spec.name}",
-    )
-    result.best_design = design
-    return result
+    return _search(objective, m, indices, config)
 
 
 def build_cache(ensemble: ScenarioEnsemble, config: PsoConfig) -> ScenarioEnsemble:
@@ -220,18 +226,6 @@ def build_cache(ensemble: ScenarioEnsemble, config: PsoConfig) -> ScenarioEnsemb
     return ensemble
 
 
-def _solve_ensemble(
-    ensemble: ScenarioEnsemble, objective: Objective, config: PsoConfig, label: str
-) -> SearchResult:
-    indices = tuple(range(len(COORD_NAMES)))
-    seeds = _published_seeds(ensemble.m, indices)
-    result = pso_maximize(objective, ensemble.m, len(indices), config, seeds)
-    result.best_design = Design.from_coords(
-        result.best_fragment, day=1, label=label
-    )
-    return result
-
-
 def solve_bayes(
     ensemble: ScenarioEnsemble, flavor: str, config: PsoConfig
 ) -> SearchResult:
@@ -241,7 +235,7 @@ def solve_bayes(
     def objective(fragment: np.ndarray) -> float:
         return phi_bayes(ensemble, fragment, flavor)
 
-    return _solve_ensemble(ensemble, objective, config, f"bayes-{flavor}")
+    return _search(objective, ensemble.m, ALL_FACTORS, config)
 
 
 def solve_compromise(
@@ -251,4 +245,4 @@ def solve_compromise(
     def objective(fragment: np.ndarray) -> float:
         return phi_compromise(ensemble, fragment, alpha)
 
-    return _solve_ensemble(ensemble, objective, config, f"compromise-{alpha:g}")
+    return _search(objective, ensemble.m, ALL_FACTORS, config)

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from augdesign import Design, FittedModel, fit
+from augdesign import Design, FittedModel, Link, ModelSpec, Term, fit
 from augdesign import data
 from augdesign.cli import (
+    EXIT_CACHE,
     EXIT_DIMENSION,
     EXIT_DOMAIN,
     EXIT_OK,
@@ -19,6 +20,28 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+TINY_SEARCH = ("--swarm", "4", "--iters", "2", "--restarts", "1")
+
+
+@pytest.fixture
+def reference_csv(tmp_path):
+    path = tmp_path / "ref.csv"
+    path.write_text(data.REFERENCE_DESIGN.to_csv())
+    return path
+
+
+@pytest.fixture
+def degenerate_scenario(tmp_path):
+    """Identity link with a day-1 predictor of 10 - 20 < 0 at every point, so
+    every new run is infeasible and each local optimum scores zero."""
+    spec = ModelSpec("flat", Link.IDENTITY, ("L",), (Term.intercept(), Term.main(0)))
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(
+        {"model": spec.to_dict(), "beta": [10.0, 0.0], "gamma": -20.0}
+    ))
+    return path
 
 
 class TestFitCommand:
@@ -126,6 +149,37 @@ class TestDesignCommand:
         )
         assert code == EXIT_USAGE
 
+    def test_duplicate_models_rejected(self, capsys):
+        code, _, err = run_cli(
+            capsys, "design", "--criterion", "bayesD", "--gammas", "pm10",
+            "--models", "temperature,temperature,velocity,velocity", *TINY_SEARCH,
+        )
+        assert code == EXIT_USAGE
+        assert "twice" in err
+
+    def test_gammas_expand_a_model_subset(self, capsys, tmp_path):
+        report = tmp_path / "report.json"
+        code, _, _ = run_cli(
+            capsys, "design", "--criterion", "bayesD", "--gammas", "pm10",
+            "--models", "temperature,velocity", *TINY_SEARCH, "--seed", "1",
+            "--report", str(report),
+        )
+        assert code == EXIT_OK
+        rows = json.loads(report.read_text())["per_scenario"]
+        assert [(r["model"], r["gamma"]) for r in rows] == [
+            (name, data.ESTIMATES[name].gamma * c)
+            for name in ("temperature", "velocity")
+            for c in (0.9, 1.0, 1.1)
+        ]
+
+    def test_degenerate_optimum_is_cache_error(self, capsys, degenerate_scenario):
+        code, _, err = run_cli(
+            capsys, "design", "--criterion", "bayesD",
+            "--models", str(degenerate_scenario), *TINY_SEARCH,
+        )
+        assert code == EXIT_CACHE
+        assert "cache error" in err
+
 
 class TestEfficiencyCommand:
     def test_self_comparison_is_100(self, capsys, tmp_path):
@@ -160,6 +214,33 @@ class TestEfficiencyCommand:
         assert code == EXIT_OK
         value = float(stdout.split(":")[1].strip().rstrip("%"))
         assert value == pytest.approx(80.0, abs=1.0)
+
+    def test_degenerate_optimum_is_cache_error(
+        self, capsys, reference_csv, degenerate_scenario
+    ):
+        code, _, err = run_cli(
+            capsys, "efficiency", "--design", str(reference_csv),
+            "--model", str(degenerate_scenario), *TINY_SEARCH,
+        )
+        assert code == EXIT_CACHE
+        assert "cache error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "--criterion", "bayesD"],
+        ["design", "--criterion", "D"],
+        ["efficiency", "--model", "temperature"],
+    ],
+    ids=["design-bayesD", "design-D", "efficiency"],
+)
+def test_negative_seed_is_usage_error(capsys, reference_csv, argv):
+    if argv[0] == "efficiency":
+        argv = argv + ["--design", str(reference_csv)]
+    code, _, err = run_cli(capsys, *argv, *TINY_SEARCH, "--seed", "-1")
+    assert code == EXIT_USAGE
+    assert "seed" in err
 
 
 class TestPredictCommand:

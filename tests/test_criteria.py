@@ -68,14 +68,6 @@ class TestEnsemble:
         with pytest.raises(KeyError):
             phi_D(other, data.REFERENCE_DESIGN, ens)
 
-    def test_json_round_trip(self):
-        ens = data.model_ensemble("pm10")
-        again = ScenarioEnsemble.from_dict(ens.to_dict(), data.initial_design())
-        assert len(again.scenarios) == 12
-        s, t = ens.scenarios[5], again.scenarios[5]
-        assert s.spec == t.spec and s.params == t.params
-        assert s.weight == pytest.approx(t.weight)
-
     def test_missing_cache_raises(self):
         ens = data.single_scenario_ensemble("velocity")
         with pytest.raises(MissingCacheError):

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from augdesign import data
+from augdesign import ParamPoint, Scenario, data
 
 # Locked transcription digests for the bundled tables.
 EXPECTED_CHECKSUMS = {
@@ -60,6 +61,35 @@ def test_ensemble_sizes():
     assert len(data.model_ensemble("fixed").scenarios) == 4
     assert len(data.model_ensemble("pm10").scenarios) == 12
     assert len(data.model_ensemble("pm10pm20").scenarios) == 20
+
+
+@pytest.mark.parametrize(
+    "gammas, factors",
+    [
+        ("fixed", (1.0,)),
+        ("pm10", (0.9, 1.0, 1.1)),
+        ("pm10pm20", (0.8, 0.9, 1.0, 1.1, 1.2)),
+    ],
+)
+def test_default_ensemble_is_bundled_models_by_gamma_factor(gammas, factors):
+    got = [(s.spec, s.params) for s in data.model_ensemble(gammas).scenarios]
+    want = [
+        (data.MODELS[name],
+         ParamPoint(data.ESTIMATES[name].beta, data.ESTIMATES[name].gamma * c))
+        for name in data.RESPONSES
+        for c in factors
+    ]
+    assert got == want
+
+
+def test_ensemble_expands_given_scenarios():
+    base = [Scenario(data.MODELS["velocity"], data.ESTIMATES["velocity"])]
+    ens = data.model_ensemble("pm10", 4, base)
+    gamma = data.ESTIMATES["velocity"].gamma
+    assert [s.params.gamma for s in ens.scenarios] == [
+        gamma * 0.9, gamma * 1.0, gamma * 1.1
+    ]
+    assert all(s.spec is base[0].spec for s in ens.scenarios)
 
 
 def test_checksums_are_stable():

@@ -39,6 +39,13 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset((Run((0, 0, 0, 0)),), {"y": np.array([1.0, 2.0])})
 
+    def test_caller_dict_left_unchanged(self):
+        values = [1.0, 2.0]
+        responses = {"y": values}
+        ds = Dataset((Run((0, 0, 0, 0)), Run((1, 0, 0, 0))), responses)
+        assert responses == {"y": values} and responses["y"] is values
+        assert isinstance(ds.responses["y"], np.ndarray)
+
     def test_csv_round_trip(self):
         ds = data.ccd_dataset()
         again = Dataset.from_csv(ds.to_csv())

@@ -152,8 +152,3 @@ class TestLinearPredictor:
             linear_predictor(
                 data.MODELS["temperature"], ParamPoint((1.0,)), Run((0, 0, 0, 0))
             )
-
-
-def test_param_point_requires_positive_shape():
-    with pytest.raises(ValueError):
-        ParamPoint((1.0,), nu=0.0)

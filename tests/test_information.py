@@ -17,7 +17,7 @@ from mp_oracle import mp_info
 
 
 def full_design(response="temperature"):
-    return data.initial_design().concat(data.REFERENCE_DESIGN, label="full")
+    return data.initial_design().concat(data.REFERENCE_DESIGN)
 
 
 @pytest.mark.parametrize("name", data.RESPONSES)

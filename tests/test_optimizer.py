@@ -36,8 +36,8 @@ class TestConfig:
         "kwargs",
         [
             {"swarm_size": 1},
-            {"inertia": 1.2},
-            {"cognitive": 0.0},
+            {"iterations": 0},
+            {"seed": -1},
             {"restarts": 0},
         ],
     )
