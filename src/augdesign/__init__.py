@@ -54,7 +54,6 @@ from .optimizer import (
     SearchResult,
     build_cache,
     pso_maximize,
-    solve_bayes,
     solve_compromise,
     solve_local,
 )

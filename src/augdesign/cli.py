@@ -30,14 +30,8 @@ from .estimation import (
     prediction_error,
 )
 from .glm import InvalidPredictorError, Link, ModelSpec, ParamPoint, Term, TermKind
-from .information import Design
-from .optimizer import (
-    PsoConfig,
-    build_cache,
-    solve_bayes,
-    solve_compromise,
-    solve_local,
-)
+from .information import Design, write_csv
+from .optimizer import PsoConfig, build_cache, solve_compromise, solve_local
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -168,10 +162,14 @@ def cmd_design(args) -> int:
         raise UsageError(f"--m must be non-negative, got {args.m}")
     if not 0.0 <= args.alpha <= 1.0:
         raise UsageError(f"--alpha must lie in [0, 1], got {args.alpha}")
+    if args.gammas and args.criterion in ("D", "D1"):
+        raise UsageError(
+            "--gammas applies only to the Bayesian and compromise criteria"
+        )
     if args.m == 0:
         print("warning: m=0 requested; empty design, criterion value 0")
         if args.out:
-            _write(args.out, "run,L,K,D,FDV,day\n")
+            _write(args.out, write_csv(()))
         return EXIT_OK
 
     if args.criterion in ("D", "D1"):
@@ -189,13 +187,10 @@ def cmd_design(args) -> int:
         if len(set(names)) != len(names):
             raise UsageError(f"--models names a model twice: {args.models}")
         scenarios = [_scenario_from_arg(n) for n in names]
-        ensemble = data.model_ensemble(args.gammas, args.m, scenarios)
+        ensemble = data.model_ensemble(args.gammas or "fixed", args.m, scenarios)
         build_cache(ensemble, config)
-        if args.criterion == "compromise":
-            result = solve_compromise(ensemble, args.alpha, config)
-        else:
-            flavor = "D" if args.criterion == "bayesD" else "D1"
-            result = solve_bayes(ensemble, flavor, config)
+        alpha = {"bayesD": 1.0, "bayesD1": 0.0}.get(args.criterion, args.alpha)
+        result = solve_compromise(ensemble, alpha, config)
         report = {
             "criterion": args.criterion,
             "value": result.best_value,
@@ -247,7 +242,7 @@ def cmd_predict(args) -> int:
     if response not in dataset.responses:
         raise UsageError(f"dataset has no response {response!r}")
     observed = dataset.responses[response]
-    predicted = predict(model, dataset.runs)
+    predicted = predict(model, dataset)
     lines = ["run,observed,predicted,residual"]
     lines += [
         f"{i},{o:.10g},{p:.10g},{p - o:.10g}"
@@ -281,8 +276,7 @@ def build_parser() -> _Parser:
                    choices=["D", "D1", "bayesD", "bayesD1", "compromise"])
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--models")
-    p.add_argument("--gammas", choices=["fixed", "pm10", "pm10pm20"],
-                   default="fixed")
+    p.add_argument("--gammas", choices=["fixed", "pm10", "pm10pm20"])
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--out")
     p.add_argument("--report")

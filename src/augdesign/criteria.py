@@ -40,6 +40,12 @@ class Scenario:
             raise ValueError("scenario weight must be positive")
         if self.params.gamma is None:
             raise ValueError("a scenario requires a day-effect value")
+        if len(self.params.beta) != self.spec.p:
+            raise ValueError(
+                f"scenario for model {self.spec.name!r} has "
+                f"{len(self.params.beta)} coefficients; the model has "
+                f"{self.spec.p} terms"
+            )
 
 
 @dataclass
@@ -183,9 +189,13 @@ def phi_bayes(ensemble: ScenarioEnsemble, new_runs: NewRuns, flavor: str) -> flo
 def phi_compromise(
     ensemble: ScenarioEnsemble, new_runs: NewRuns, alpha: float
 ) -> float:
-    """alpha * Phi_B + (1 - alpha) * Phi_B1."""
+    """alpha * Phi_B + (1 - alpha) * Phi_B1; a term with weight 0 is not
+    evaluated, so alpha = 1 and alpha = 0 give exactly Phi_B and Phi_B1."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    return alpha * phi_bayes(ensemble, new_runs, "D") + (1.0 - alpha) * phi_bayes(
-        ensemble, new_runs, "D1"
-    )
+    value = 0.0
+    if alpha > 0.0:
+        value += alpha * phi_bayes(ensemble, new_runs, "D")
+    if alpha < 1.0:
+        value += (1.0 - alpha) * phi_bayes(ensemble, new_runs, "D1")
+    return value

@@ -4,26 +4,23 @@ summaries."""
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
 from .glm import (
-    GLOBAL_FACTORS,
     InvalidPredictorError,
     Link,
     MissingGammaError,
     ModelSpec,
-    Run,
     regressor_matrix,
 )
+from .information import MINUS_INF, Design, log_det, read_csv, write_csv
 
 MAX_SCORING_ITERATIONS = 100
 MAX_STEP_HALVINGS = 30
@@ -40,16 +37,14 @@ class RankDeficientError(ValueError):
 
 
 @dataclass(frozen=True)
-class Dataset:
-    """Runs with one positive response value per run and response name."""
+class Dataset(Design):
+    """A design with one positive response value per run and response name."""
 
-    runs: tuple[Run, ...]
     responses: dict[str, np.ndarray]
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         n = len(self.runs)
-        if n == 0:
-            raise ValueError("a dataset needs at least one run")
         # A new dict, so the caller's mapping is left as it was passed.
         object.__setattr__(self, "responses", {
             name: np.asarray(values, dtype=float)
@@ -61,17 +56,6 @@ class Dataset:
             if np.any(arr <= 0.0):
                 raise ValueError(f"response {name!r} has nonpositive values")
 
-    def __len__(self) -> int:
-        return len(self.runs)
-
-    @property
-    def coords(self) -> np.ndarray:
-        return np.array([r.coords for r in self.runs])
-
-    @property
-    def days(self) -> np.ndarray:
-        return np.array([float(r.day) for r in self.runs])
-
     def concat(self, other: "Dataset") -> "Dataset":
         if set(self.responses) != set(other.responses):
             raise ValueError("datasets carry different response sets")
@@ -82,39 +66,15 @@ class Dataset:
         return Dataset(self.runs + other.runs, merged)
 
     def to_csv(self) -> str:
-        names = list(self.responses)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["run", *GLOBAL_FACTORS, "day", *names])
-        for i, r in enumerate(self.runs):
-            writer.writerow(
-                [i + 1,
-                 *(format(c, ".10g") for c in r.coords),
-                 r.day,
-                 *(format(self.responses[n][i], ".10g") for n in names)]
-            )
-        return buf.getvalue()
+        return write_csv(self.runs, self.responses)
 
     @staticmethod
     def from_csv(text: str) -> "Dataset":
-        reader = csv.DictReader(io.StringIO(text))
-        if reader.fieldnames is None:
-            raise ValueError("empty dataset CSV")
-        skip = {"run", "day", *GLOBAL_FACTORS}
-        names = [f for f in reader.fieldnames if f not in skip]
-        if not names:
+        """Every column other than run, the factors and day is a response."""
+        runs, responses = read_csv(text, responses=True)
+        if not responses:
             raise ValueError("dataset CSV has no response columns")
-        runs, columns = [], {n: [] for n in names}
-        for i, row in enumerate(reader, start=2):
-            try:
-                coords = tuple(float(row[f]) for f in GLOBAL_FACTORS)
-                day = int(row.get("day", 0) or 0)
-                for n in names:
-                    columns[n].append(float(row[n]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"dataset CSV line {i}: {exc}") from exc
-            runs.append(Run(coords, day))
-        return Dataset(tuple(runs), {n: np.array(v) for n, v in columns.items()})
+        return Dataset(runs, responses)
 
 
 @dataclass(frozen=True)
@@ -187,39 +147,24 @@ def gamma_log_likelihood(y: np.ndarray, mu: np.ndarray, nu: float) -> float:
     )
 
 
-def _kernel(link: Link, Z: np.ndarray, beta: np.ndarray, y: np.ndarray) -> float:
-    """Gamma log-likelihood kernel at nu=1 (what scoring maximizes over beta)."""
-    mu = link.mean(Z @ beta)
-    return float(np.sum(-np.log(mu) - y / mu))
-
-
 def _score_and_info(
     link: Link, Z: np.ndarray, beta: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     eta = Z @ beta
     mu = link.mean(eta)
-    if link is Link.IDENTITY:
-        dmu = np.ones_like(eta)
-    elif link is Link.LOG:
-        dmu = mu
-    else:
-        dmu = -mu * mu
     w = link.weight(eta)
-    u = (y - mu) / (mu * mu) * dmu
+    u = (y - mu) / (mu * mu) * link.dmu(mu)
     return Z.T @ u, (Z * w[:, None]).T @ Z
 
 
 def _starting_point(link: Link, Z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """OLS on the link-transformed response; intercept-only fallback when the
-    OLS start violates the eta > 0 domain."""
-    if link is Link.IDENTITY:
-        target = y
-    elif link is Link.LOG:
-        target = np.log(y)
-    else:
-        target = 1.0 / y
+    OLS start lies outside the link's domain."""
+    target = link.eta(y)
     beta = np.linalg.lstsq(Z, target, rcond=None)[0]
-    if link is not Link.LOG and np.any(Z @ beta <= 0.0):
+    try:
+        link.mean(Z @ beta)
+    except InvalidPredictorError:
         beta = np.zeros(Z.shape[1])
         beta[0] = float(np.mean(target))
     return beta
@@ -250,9 +195,10 @@ def fit(
     if np.linalg.matrix_rank(Z) < k:
         raise RankDeficientError("model matrix is rank deficient")
 
+    # Scoring maximizes the log-likelihood over beta at a fixed shape nu = 1.
     beta = _starting_point(spec.link, Z, y)
     try:
-        current = _kernel(spec.link, Z, beta, y)
+        current = gamma_log_likelihood(y, spec.link.mean(Z @ beta), 1.0)
     except InvalidPredictorError as exc:
         raise InvalidPredictorError(
             f"no admissible starting point for response {response!r}: {exc}"
@@ -271,7 +217,7 @@ def fit(
         for _ in range(MAX_STEP_HALVINGS):
             trial = beta + scale * step
             try:
-                value = _kernel(spec.link, Z, trial, y)
+                value = gamma_log_likelihood(y, spec.link.mean(Z @ trial), 1.0)
             except InvalidPredictorError:
                 scale *= 0.5
                 continue
@@ -324,14 +270,12 @@ def fit(
     )
 
 
-def predict(model: FittedModel, runs: Sequence[Run]) -> np.ndarray:
-    """Fitted Gamma means at the given runs."""
-    runs = tuple(runs)
-    coords = np.array([r.coords for r in runs])
-    days = np.array([float(r.day) for r in runs])
-    if model.gamma_hat is None and np.any(days != 0.0):
+def predict(model: FittedModel, design: Design) -> np.ndarray:
+    """Fitted Gamma means at the runs of a design."""
+    days = design.days
+    if model.gamma_hat is None and np.any(days != 0):
         raise MissingGammaError("model has no day effect but a run has day=1")
-    Z = regressor_matrix(model.spec, coords)
+    Z = regressor_matrix(model.spec, design.coords)
     eta = Z @ np.asarray(model.beta_hat)
     if model.gamma_hat is not None:
         eta = eta + days * model.gamma_hat
@@ -343,7 +287,7 @@ def prediction_error(
 ) -> float:
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
-    residuals = predict(model, data.runs) - data.responses[response]
+    residuals = predict(model, data) - data.responses[response]
     if metric == "mae":
         return float(np.mean(np.abs(residuals)))
     mse = float(np.mean(residuals * residuals))
@@ -356,13 +300,12 @@ def observed_efficiency(fit_a: FittedModel, fit_b: FittedModel) -> float:
     (det Cov_b / det Cov_a)^(1/dim) from the estimated coefficient
     covariance matrices; > 1 means fit_a is the more precise fit.
     """
-    if fit_a.spec.to_dict() != fit_b.spec.to_dict():
+    if fit_a.spec != fit_b.spec:
         raise ValueError("fits must share the same model")
     if (fit_a.gamma_hat is None) != (fit_b.gamma_hat is None):
         raise ValueError("fits must share the day-effect structure")
-    dim = fit_a.covariance.shape[0]
-    sign_a, ld_a = np.linalg.slogdet(fit_a.covariance)
-    sign_b, ld_b = np.linalg.slogdet(fit_b.covariance)
-    if sign_a <= 0 or sign_b <= 0:
+    ld_a = log_det(fit_a.covariance)
+    ld_b = log_det(fit_b.covariance)
+    if MINUS_INF in (ld_a, ld_b):
         raise RankDeficientError("covariance matrix is not positive definite")
-    return float(math.exp((ld_b - ld_a) / dim))
+    return float(math.exp((ld_b - ld_a) / fit_a.covariance.shape[0]))

@@ -49,6 +49,18 @@ class Link(enum.Enum):
         self._check_domain(eta)
         return eta if self is Link.IDENTITY else 1.0 / eta
 
+    def eta(self, mu):
+        """Link function: map positive Gamma means to linear predictors."""
+        if self is Link.LOG:
+            return np.log(mu)
+        return mu if self is Link.IDENTITY else 1.0 / mu
+
+    def dmu(self, mu):
+        """d mu / d eta, written in terms of the mean mu."""
+        if self is Link.LOG:
+            return mu
+        return np.ones_like(mu) if self is Link.IDENTITY else -mu * mu
+
     def weight(self, eta):
         """Weight multiplying z z^T in the Fisher information, elementwise.
 

@@ -59,27 +59,55 @@ class Design:
         return Design(self.runs + other.runs)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["run", *GLOBAL_FACTORS, "day"])
-        for i, r in enumerate(self.runs, start=1):
-            writer.writerow([i, *(format(c, ".10g") for c in r.coords), r.day])
-        return buf.getvalue()
+        return write_csv(self.runs)
 
     @staticmethod
     def from_csv(text: str) -> "Design":
-        reader = csv.DictReader(io.StringIO(text))
-        runs = []
-        for row in reader:
-            coords = tuple(float(row[f]) for f in GLOBAL_FACTORS)
-            day = int(row.get("day", 0) or 0)
-            runs.append(Run(coords, day))
-        return Design(tuple(runs))
+        return Design(read_csv(text)[0])
 
     @staticmethod
     def from_coords(coords, day: int = 0) -> "Design":
         arr = np.atleast_2d(np.asarray(coords, dtype=float))
         return Design(tuple(Run(tuple(row), day) for row in arr))
+
+
+def write_csv(runs, columns: dict[str, np.ndarray] | None = None) -> str:
+    """Runs as CSV: run number, the factors, day, then one column per entry of
+    ``columns`` with one value per run."""
+    columns = columns or {}
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["run", *GLOBAL_FACTORS, "day", *columns])
+    for i, r in enumerate(runs):
+        writer.writerow(
+            [i + 1,
+             *(format(c, ".10g") for c in r.coords),
+             r.day,
+             *(format(v[i], ".10g") for v in columns.values())]
+        )
+    return buf.getvalue()
+
+
+def read_csv(
+    text: str, responses: bool = False
+) -> tuple[tuple[Run, ...], dict[str, list[float]]]:
+    """Runs of a CSV in the ``write_csv`` layout.  With ``responses``, every
+    column other than run, the factors and day is also read as numbers, one
+    value per run; without, those columns are ignored.  A missing ``day``
+    column reads as day 0, and an error names the line of the bad cell."""
+    reader = csv.DictReader(io.StringIO(text))
+    skip = ("run", "day", *GLOBAL_FACTORS)
+    names = [f for f in reader.fieldnames or () if f not in skip]
+    runs, columns = [], ({n: [] for n in names} if responses else {})
+    for line, row in enumerate(reader, start=2):
+        try:
+            coords = tuple(float(row[f]) for f in GLOBAL_FACTORS)
+            runs.append(Run(coords, int(row.get("day") or 0)))
+            for n, values in columns.items():
+                values.append(float(row[n]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"CSV line {line}: {exc}") from exc
+    return tuple(runs), columns
 
 
 def augmented_info_entries(

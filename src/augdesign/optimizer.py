@@ -13,7 +13,6 @@ from .criteria import (
     ScenarioEnsemble,
     phi_D,
     phi_D1,
-    phi_bayes,
     phi_compromise,
 )
 from .data import PUBLISHED_DESIGNS
@@ -226,22 +225,13 @@ def build_cache(ensemble: ScenarioEnsemble, config: PsoConfig) -> ScenarioEnsemb
     return ensemble
 
 
-def solve_bayes(
-    ensemble: ScenarioEnsemble, flavor: str, config: PsoConfig
-) -> SearchResult:
-    """Maximize the weighted-average efficiency over the ensemble.
-
-    Requires the locally-optimal cache (build_cache) for every scenario."""
-    def objective(fragment: np.ndarray) -> float:
-        return phi_bayes(ensemble, fragment, flavor)
-
-    return _search(objective, ensemble.m, ALL_FACTORS, config)
-
-
 def solve_compromise(
     ensemble: ScenarioEnsemble, alpha: float, config: PsoConfig
 ) -> SearchResult:
-    """Maximize alpha * Phi_B + (1 - alpha) * Phi_B1 over the ensemble."""
+    """Maximize alpha * Phi_B + (1 - alpha) * Phi_B1 over the ensemble:
+    alpha = 1 is the Bayesian D search, alpha = 0 the Bayesian D1 search.
+
+    Requires the locally-optimal cache (build_cache) for every scenario."""
     def objective(fragment: np.ndarray) -> float:
         return phi_compromise(ensemble, fragment, alpha)
 

@@ -44,6 +44,18 @@ def degenerate_scenario(tmp_path):
     return path
 
 
+@pytest.fixture
+def short_beta_scenario(tmp_path):
+    """The temperature model with two of its five coefficients."""
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({
+        "model": data.MODELS["temperature"].to_dict(),
+        "beta": [1500.0, -17.0],
+        "gamma": -16.0,
+    }))
+    return path
+
+
 class TestFitCommand:
     def test_bundled_temperature(self, capsys, tmp_path):
         out = tmp_path / "fit.json"
@@ -94,6 +106,35 @@ class TestDesignCommand:
         )
         assert code == EXIT_OK
         assert "warning" in stdout
+
+    def test_m_zero_writes_the_design_csv_header(self, capsys, tmp_path):
+        out = tmp_path / "empty.csv"
+        code, _, _ = run_cli(
+            capsys, "design", "--criterion", "D", "--m", "0", "--out", str(out)
+        )
+        assert code == EXIT_OK
+        header = data.REFERENCE_DESIGN.to_csv().splitlines(keepends=True)[0]
+        assert out.read_bytes() == header.encode()
+
+    def test_gammas_with_local_criterion_is_usage_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "design", "--criterion", "D", "--gammas", "pm10pm20",
+            *TINY_SEARCH,
+        )
+        assert code == EXIT_USAGE
+        assert "--gammas" in err
+
+    def test_bayes_d_is_compromise_at_alpha_one(self, capsys, tmp_path):
+        outs = []
+        for criterion in (["bayesD"], ["compromise", "--alpha", "1"]):
+            out = tmp_path / f"{criterion[0]}.csv"
+            code, _, _ = run_cli(
+                capsys, "design", "--criterion", *criterion, *TINY_SEARCH,
+                "--seed", "5", "--out", str(out),
+            )
+            assert code == EXIT_OK
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_local_design_roundtrip(self, capsys, tmp_path):
         out = tmp_path / "design.csv"
@@ -241,6 +282,38 @@ def test_negative_seed_is_usage_error(capsys, reference_csv, argv):
     code, _, err = run_cli(capsys, *argv, *TINY_SEARCH, "--seed", "-1")
     assert code == EXIT_USAGE
     assert "seed" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "--criterion", "bayesD"],
+        ["design", "--criterion", "D"],
+        ["efficiency"],
+    ],
+    ids=["design-bayesD", "design-D", "efficiency"],
+)
+def test_short_beta_is_parse_error_naming_the_model(
+    capsys, reference_csv, short_beta_scenario, argv
+):
+    flag = "--model" if argv[0] == "efficiency" else "--models"
+    argv = argv + [flag, str(short_beta_scenario)]
+    if argv[0] == "efficiency":
+        argv += ["--design", str(reference_csv)]
+    code, _, err = run_cli(capsys, *argv, *TINY_SEARCH)
+    assert code == EXIT_PARSE
+    assert "model 'temperature' has 2 coefficients" in err
+
+
+def test_bad_design_cell_is_parse_error_naming_the_line(capsys, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("run,L,K,D,FDV,day\n1,0,0,0,0,1\n2,0,x,0,0,1\n")
+    code, _, err = run_cli(
+        capsys, "efficiency", "--design", str(path), "--relative-to", str(path),
+        "--model", "temperature",
+    )
+    assert code == EXIT_PARSE
+    assert "line 3" in err
 
 
 class TestPredictCommand:

@@ -17,7 +17,7 @@ from augdesign import (
     phi_bayes,
     phi_compromise,
 )
-from augdesign import data
+from augdesign import criteria, data
 
 
 def scaled_scenario(name, c):
@@ -215,6 +215,22 @@ class TestBayesAndCompromise:
         assert phi_compromise(ens, design, 0.0) == pytest.approx(
             phi_bayes(ens, design, "D1")
         )
+
+    @pytest.mark.parametrize(
+        "alpha, flavor, skipped", [(1.0, "D", "eff_D1"), (0.0, "D1", "eff_D")]
+    )
+    def test_endpoints_skip_the_zero_weight_average(
+        self, fixed_gamma_ensemble, monkeypatch, alpha, flavor, skipped
+    ):
+        ens = fixed_gamma_ensemble
+        design = data.BAYES_D_FIXED
+        expect = phi_bayes(ens, design, flavor)
+
+        def not_evaluated(*args):
+            raise AssertionError(f"{skipped} evaluated at alpha={alpha}")
+
+        monkeypatch.setattr(criteria, skipped, not_evaluated)
+        assert phi_compromise(ens, design, alpha) == expect
 
 
 _AFFINE_CACHE = []

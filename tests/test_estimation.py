@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from augdesign import (
     Dataset,
+    Design,
     FittedModel,
     Link,
+    MissingGammaError,
     ModelSpec,
     RankDeficientError,
     Run,
@@ -128,7 +130,7 @@ class TestFitProperties:
     @pytest.mark.parametrize("name", ["temperature", "velocity"])
     def test_refit_on_fitted_means_is_fixed_point(self, name):
         model = fit(data.MODELS[name], data.ccd_dataset(), name)
-        mu = predict(model, data.ccd_dataset().runs)
+        mu = predict(model, data.ccd_dataset())
         synthetic = Dataset(data.ccd_dataset().runs, {name: mu})
         again = fit(data.MODELS[name], synthetic, name)
         assert np.allclose(again.beta_hat, model.beta_hat, rtol=1e-8, atol=1e-10)
@@ -192,25 +194,25 @@ class TestFittedModel:
 class TestPredict:
     def test_center_run_identity_link(self):
         model = fit(data.MODELS["temperature"], data.ccd_dataset(), "temperature")
-        mu = predict(model, [Run((0, 0, 0, 0))])
+        mu = predict(model, Design((Run((0, 0, 0, 0)),)))
         assert mu[0] == pytest.approx(model.beta_hat[0])
 
     def test_center_run_log_link(self):
         model = fit(data.MODELS["velocity"], data.ccd_dataset(), "velocity")
-        mu = predict(model, [Run((0, 0, 0, 0))])
+        mu = predict(model, Design((Run((0, 0, 0, 0)),)))
         assert mu[0] == pytest.approx(math.exp(model.beta_hat[0]))
         assert mu[0] == pytest.approx(710.0, abs=1.0)
 
     def test_day_run_needs_gamma(self):
         model = fit(data.MODELS["temperature"], data.ccd_dataset(), "temperature")
-        with pytest.raises(Exception):
-            predict(model, [Run((0, 0, 0, 0), day=1)])
+        with pytest.raises(MissingGammaError):
+            predict(model, Design((Run((0, 0, 0, 0), day=1),)))
 
 
 class TestPredictionError:
     def test_perfect_fit_scores_zero(self):
         model = fit(data.MODELS["velocity"], data.ccd_dataset(), "velocity")
-        mu = predict(model, data.ccd_dataset().runs)
+        mu = predict(model, data.ccd_dataset())
         synthetic = Dataset(data.ccd_dataset().runs, {"velocity": mu})
         for metric in ("mse", "rmse", "mae"):
             assert prediction_error(model, synthetic, "velocity", metric) == (
@@ -219,7 +221,7 @@ class TestPredictionError:
 
     def test_constant_offset_identities(self):
         model = fit(data.MODELS["temperature"], data.ccd_dataset(), "temperature")
-        mu = predict(model, data.ccd_dataset().runs)
+        mu = predict(model, data.ccd_dataset())
         offset = Dataset(data.ccd_dataset().runs, {"temperature": mu + 3.0})
         assert prediction_error(model, offset, "temperature", "mse") == (
             pytest.approx(9.0, rel=1e-9)

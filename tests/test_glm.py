@@ -50,6 +50,19 @@ class TestLink:
         with pytest.raises(InvalidPredictorError):
             link.weight(-1.0)
 
+    @pytest.mark.parametrize("link", list(Link))
+    def test_eta_inverts_mean(self, link):
+        mu = np.array([0.05, 1.0, 7.5, 1500.0])
+        assert link.mean(link.eta(mu)) == pytest.approx(mu, rel=1e-12)
+
+    @pytest.mark.parametrize("link", list(Link))
+    def test_dmu_matches_finite_difference(self, link):
+        mu = np.array([0.05, 2.0, 7.5, 1500.0])
+        eta = link.eta(mu)
+        h = 1e-6 * np.abs(eta)
+        slope = (link.mean(eta + h) - link.mean(eta - h)) / (2.0 * h)
+        assert link.dmu(mu) == pytest.approx(slope, rel=1e-6)
+
 
 class TestTerm:
     def test_interaction_is_order_free(self):

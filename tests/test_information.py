@@ -121,6 +121,12 @@ def test_design_csv_day_defaults_to_zero():
     assert design.runs[0].day == 0
 
 
+def test_design_csv_ignores_other_columns():
+    text = "run,L,K,D,FDV,day,note\n1,0.5,0,0,-1,1,centre run\n"
+    design = Design.from_csv(text)
+    assert design.runs == (Run((0.5, 0.0, 0.0, -1.0), 1),)
+
+
 def test_design_split_and_concat():
     full = full_design()
     first, second = full.split()

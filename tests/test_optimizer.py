@@ -13,7 +13,6 @@ from augdesign import (
     phi_bayes,
     phi_compromise,
     pso_maximize,
-    solve_bayes,
     solve_compromise,
     solve_local,
 )
@@ -163,12 +162,12 @@ class TestEnsembleSolvers:
     def test_bayes_requires_cache(self):
         ens = data.model_ensemble("fixed")
         with pytest.raises(MissingCacheError):
-            solve_bayes(ens, "D", PsoConfig(
+            solve_compromise(ens, 1.0, PsoConfig(
                 swarm_size=4, iterations=2, restarts=1, seed=0))
 
     def test_bayes_dominates_published_design(self, fixed_gamma_ensemble):
         ens = fixed_gamma_ensemble
-        result = solve_bayes(ens, "D", SMALL)
+        result = solve_compromise(ens, 1.0, SMALL)
         published = phi_bayes(ens, data.BAYES_D_FIXED, "D")
         assert result.best_value >= published - 1e-6
 
