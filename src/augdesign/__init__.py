@@ -39,8 +39,6 @@ from .glm import (
     Run,
     Term,
     TermKind,
-    linear_predictor,
-    regressor,
     regressor_matrix,
 )
 from .information import (

@@ -29,7 +29,15 @@ from .estimation import (
     predict,
     prediction_error,
 )
-from .glm import InvalidPredictorError, Link, ModelSpec, ParamPoint, Term, TermKind
+from .glm import (
+    InvalidPredictorError,
+    Link,
+    MissingGammaError,
+    ModelSpec,
+    ParamPoint,
+    Term,
+    TermKind,
+)
 from .information import Design, write_csv
 from .optimizer import PsoConfig, build_cache, solve_compromise, solve_local
 
@@ -215,23 +223,26 @@ def cmd_efficiency(args) -> int:
     design = Design.from_csv(_read(args.design))
     m = len(design)
     ensemble = ScenarioEnsemble([scenario], data.initial_design(), m)
+    phi = phi_D if args.flavor == "D" else phi_D1
     if args.relative_to:
         other = Design.from_csv(_read(args.relative_to))
         if len(other) != m:
             raise DimensionError(
                 f"designs have different sizes: {m} vs {len(other)}"
             )
-        phi = phi_D if args.flavor == "D" else phi_D1
         denom = phi(scenario, other, ensemble)
         if denom <= 0:
             raise DimensionError("comparison design has zero criterion value")
-        ratio = phi(scenario, design, ensemble) / denom
-        print(f"eff_{args.flavor} relative to {args.relative_to}: {100*ratio:.2f}%")
-        return EXIT_OK
-    build_cache(ensemble, _pso_config(args))
-    eff = eff_D if args.flavor == "D" else eff_D1
-    value = eff(scenario, design, ensemble)
-    print(f"eff_{args.flavor} vs local optimum: {100*value:.2f}%")
+        label = f"relative to {args.relative_to}"
+    else:
+        denom = solve_local(
+            scenario, data.initial_design(), m, args.flavor, _pso_config(args)
+        ).best_value
+        if denom <= 0:
+            raise DegenerateOptimumError(f"the local {args.flavor} optimum is 0")
+        label = "vs local optimum"
+    ratio = phi(scenario, design, ensemble) / denom
+    print(f"eff_{args.flavor} {label}: {100*ratio:.2f}%")
     return EXIT_OK
 
 
@@ -243,12 +254,11 @@ def cmd_predict(args) -> int:
         raise UsageError(f"dataset has no response {response!r}")
     observed = dataset.responses[response]
     predicted = predict(model, dataset)
-    lines = ["run,observed,predicted,residual"]
-    lines += [
-        f"{i},{o:.10g},{p:.10g},{p - o:.10g}"
-        for i, (o, p) in enumerate(zip(observed, predicted), start=1)
-    ]
-    csv_text = "\n".join(lines) + "\n"
+    csv_text = write_csv(dataset.runs, {
+        "observed": observed,
+        "predicted": predicted,
+        "residual": predicted - observed,
+    })
     print(csv_text, end="")
     value = prediction_error(model, dataset, response, args.metric)
     print(f"{args.metric}: {value:.6g}")
@@ -308,6 +318,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MissingGammaError as exc:
+        print(f"usage error: {exc}; refit with `augdesign fit --day-effect` "
+              "to predict day-1 runs", file=sys.stderr)
         return EXIT_USAGE
     except (json.JSONDecodeError, KeyError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -152,7 +152,7 @@ def phi_D1(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble) ->
         entries = ensemble.augmented_entries(idx, coords)
     except InvalidPredictorError:
         return 0.0
-    return inv_quadratic_form(entries, entries.shape[0] - 1)
+    return inv_quadratic_form(entries)
 
 
 def eff_D(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble) -> float:

@@ -56,6 +56,17 @@ class Dataset(Design):
             if np.any(arr <= 0.0):
                 raise ValueError(f"response {name!r} has nonpositive values")
 
+    def __eq__(self, other) -> bool:
+        """Same runs and responses (names and values); still unhashable."""
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (
+            self.runs == other.runs
+            and self.responses.keys() == other.responses.keys()
+            and all(np.array_equal(values, other.responses[name])
+                    for name, values in self.responses.items())
+        )
+
     def concat(self, other: "Dataset") -> "Dataset":
         if set(self.responses) != set(other.responses):
             raise ValueError("datasets carry different response sets")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -109,22 +109,15 @@ class Term:
         lo, hi = (a, b) if a < b else (b, a)
         return Term(TermKind.INTERACTION, lo, hi)
 
-    def value(self, active_coords: Sequence[float]) -> float:
-        if self.kind is TermKind.INTERCEPT:
-            return 1.0
-        if self.kind is TermKind.MAIN:
-            return active_coords[self.a]
-        if self.kind is TermKind.SQUARE:
-            return active_coords[self.a] ** 2
-        return active_coords[self.a] * active_coords[self.b]
-
 
 @dataclass(frozen=True)
 class ModelSpec:
     """A link plus an ordered list of quadratic-surface terms.
 
     ``factors`` is the model's own (ordered) subset of GLOBAL_FACTORS;
-    term indices refer to this list, not to the global one.
+    term indices refer to this list, not to the global one.  ``slots``
+    names, for every term, the two columns of [1, L, K, D, FDV] whose
+    product it is; it is built once from the terms and is not a field.
     """
 
     name: str
@@ -145,6 +138,13 @@ class ModelSpec:
             for idx in (t.a, t.b):
                 if idx >= q:
                     raise ValueError(f"term {t} references factor index {idx} >= {q}")
+        # Column 0 of [1, L, K, D, FDV] is the constant, which an unused
+        # factor index (-1) selects; a square uses its factor twice.
+        column = (0, *(1 + g for g in self.global_indices))
+        pairs = [(t.a, t.a if t.kind is TermKind.SQUARE else t.b) for t in self.terms]
+        slots = np.array([[column[i + 1] for i in pair] for pair in pairs]).T
+        slots.flags.writeable = False
+        object.__setattr__(self, "slots", slots)
 
     @property
     def p(self) -> int:
@@ -216,38 +216,15 @@ class Run:
             raise ValueError("day flag must be 0 or 1")
 
 
-def regressor(spec: ModelSpec, run: Run) -> np.ndarray:
-    """Evaluate the spec's monomials at a run, ignoring inactive factors."""
-    active = [run.coords[i] for i in spec.global_indices]
-    return np.array([t.value(active) for t in spec.terms])
-
-
 def regressor_matrix(spec: ModelSpec, coords: np.ndarray) -> np.ndarray:
-    """Vectorized regressor over an (n, 4) array of global coordinates."""
+    """(n, p) regressors over an (n, 4) array of global coordinates: each
+    term is the product of its two slots of [1, L, K, D, FDV].  The result
+    is C-ordered, so ``Z @ beta`` takes the same path for every caller."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    active = coords[:, spec.global_indices]
-    cols = []
-    for t in spec.terms:
-        if t.kind is TermKind.INTERCEPT:
-            cols.append(np.ones(len(coords)))
-        elif t.kind is TermKind.MAIN:
-            cols.append(active[:, t.a])
-        elif t.kind is TermKind.SQUARE:
-            cols.append(active[:, t.a] ** 2)
-        else:
-            cols.append(active[:, t.a] * active[:, t.b])
-    return np.column_stack(cols)
-
-
-def linear_predictor(spec: ModelSpec, params: ParamPoint, run: Run) -> float:
-    """z(x)^T beta, shifted by gamma on day-1 runs."""
-    if len(params.beta) != spec.p:
-        raise ValueError("beta length must equal the spec's term count")
-    eta = float(regressor(spec, run) @ np.asarray(params.beta))
-    if run.day == 1:
-        if params.gamma is None:
-            raise MissingGammaError(
-                f"run {run.coords} has day=1 but no day effect was supplied"
-            )
-        eta += params.gamma
-    return eta
+    extended = np.empty((len(coords), 1 + len(GLOBAL_FACTORS)))
+    extended[:, 0] = 1.0
+    extended[:, 1:] = coords
+    left, right = spec.slots
+    return np.multiply(
+        extended.take(left, axis=1), extended.take(right, axis=1), order="C"
+    )

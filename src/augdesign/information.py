@@ -178,18 +178,12 @@ def log_det(a: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
-def inv_quadratic_form(a: np.ndarray, index: int) -> float:
-    """(e^T I^{-1} e)^{-1} for the given coordinate; 0.0 when singular.
+def inv_quadratic_form(a: np.ndarray) -> float:
+    """(e^T I^{-1} e)^{-1} for the last coordinate; 0.0 when singular.
 
-    With the coordinate ordered last and I = L L^T, (I^{-1})_nn = 1 / L_nn^2,
-    so the value is the square of the factor's last pivot.
+    With I = L L^T, (I^{-1})_nn = 1 / L_nn^2, so the value is the square of
+    the factor's last pivot.
     """
-    n = a.shape[0]
-    if not 0 <= index < n:
-        raise IndexError(f"index {index} out of range for dim {n}")
-    if index != n - 1:
-        order = [*range(index), *range(index + 1, n), index]
-        a = a[np.ix_(order, order)]
     chol = _cholesky(a)
     if chol is None:
         return 0.0

@@ -1,18 +1,49 @@
-"""Extended-precision oracles shared by the test modules."""
+"""Extended-precision oracles shared by the test modules.
+
+They share no numerical code with ``augdesign``: each term is expanded here
+from its kind and factor indices, and every product is taken in mpmath.
+"""
 
 import mpmath
 
-from augdesign import regressor_matrix
 from augdesign.glm import Link
+
+FACTORS = ("L", "K", "D", "FDV")
+
+
+def mp_regressors(spec, coords):
+    """Rows of mpmath regressors for an (n, 4) array of global coordinates.
+
+    Products are taken at 50 digits, where a product of two doubles is
+    exact, so rounding an entry to a double gives the IEEE product."""
+    rows = []
+    with mpmath.workdps(50):
+        for point in coords:
+            x = [mpmath.mpf(float(point[FACTORS.index(f)])) for f in spec.factors]
+            row = []
+            for term in spec.terms:
+                kind = term.kind.value
+                if kind == "intercept":
+                    row.append(mpmath.mpf(1))
+                elif kind == "main":
+                    row.append(x[term.a])
+                elif kind == "square":
+                    row.append(x[term.a] * x[term.a])
+                elif kind == "interaction":
+                    row.append(x[term.a] * x[term.b])
+                else:
+                    raise ValueError(f"unknown term kind {kind!r}")
+            rows.append(row)
+    return rows
 
 
 def mp_info(spec, params, design):
     """Extended-precision oracle for the day-effect information matrix."""
-    Z = regressor_matrix(spec, design.coords)
-    dim = Z.shape[1] + 1
+    rows = mp_regressors(spec, design.coords)
+    dim = spec.p + 1
     total = mpmath.zeros(dim, dim)
-    for row, day in zip(Z, design.days):
-        z = [mpmath.mpf(repr(float(v))) for v in row] + [mpmath.mpf(int(day))]
+    for row, day in zip(rows, design.days):
+        z = row + [mpmath.mpf(int(day))]
         eta = mpmath.fsum(
             zi * mpmath.mpf(repr(b))
             for zi, b in zip(z[:-1], params.beta)

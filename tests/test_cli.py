@@ -3,8 +3,21 @@ import json
 import numpy as np
 import pytest
 
-from augdesign import Design, FittedModel, Link, ModelSpec, Term, fit
-from augdesign import data
+from augdesign import (
+    Design,
+    FittedModel,
+    Link,
+    ModelSpec,
+    PsoConfig,
+    Term,
+    build_cache,
+    eff_D,
+    eff_D1,
+    fit,
+    predict,
+)
+from augdesign import cli, data
+from augdesign.information import read_csv
 from augdesign.cli import (
     EXIT_CACHE,
     EXIT_DIMENSION,
@@ -256,6 +269,32 @@ class TestEfficiencyCommand:
         value = float(stdout.split(":")[1].strip().rstrip("%"))
         assert value == pytest.approx(80.0, abs=1.0)
 
+    @pytest.mark.parametrize("flavor", ["D", "D1"])
+    def test_one_local_search_gives_the_cache_efficiency(
+        self, capsys, monkeypatch, reference_csv, flavor
+    ):
+        calls, search = [], cli.solve_local
+
+        def counted(*args):
+            calls.append(args[3])
+            return search(*args)
+
+        monkeypatch.setattr(cli, "solve_local", counted)
+        code, stdout, _ = run_cli(
+            capsys, "efficiency", "--design", str(reference_csv),
+            "--model", "temperature", "--flavor", flavor, *TINY_SEARCH,
+            "--seed", "4",
+        )
+        assert code == EXIT_OK
+        assert calls == [flavor]
+        # The percentage that the cache of both local searches gives.
+        ensemble = data.single_scenario_ensemble("temperature")
+        config = PsoConfig(swarm_size=4, iterations=2, restarts=1, seed=4)
+        build_cache(ensemble, config)
+        eff = eff_D if flavor == "D" else eff_D1
+        value = eff(ensemble.scenarios[0], data.REFERENCE_DESIGN, ensemble)
+        assert stdout == f"eff_{flavor} vs local optimum: {100*value:.2f}%\n"
+
     def test_degenerate_optimum_is_cache_error(
         self, capsys, reference_csv, degenerate_scenario
     ):
@@ -335,7 +374,37 @@ class TestPredictCommand:
         assert code == EXIT_OK
         value = float(stdout.strip().split()[-1])
         assert value == pytest.approx(16.97, abs=0.02)
-        assert out.read_text().startswith("run,observed,predicted,residual")
+        assert out.read_bytes().startswith(
+            b"run,L,K,D,FDV,day,observed,predicted,residual\r\n"
+        )
+
+    def test_csv_gives_runs_and_residuals(self, capsys, fitted, tmp_path):
+        out = tmp_path / "pred.csv"
+        code, stdout, _ = run_cli(
+            capsys, "predict", "--model", str(fitted), "--out", str(out)
+        )
+        assert code == EXIT_OK
+        text = out.read_bytes().decode()
+        assert stdout.startswith(text)
+        assert text.count("\r\n") == text.count("\n") == 15
+        runs, columns = read_csv(text, responses=True)
+        validation = data.validation_dataset()
+        assert runs == validation.runs
+        observed = validation.responses["temperature"]
+        predicted = predict(FittedModel.from_json(fitted.read_text()), validation)
+        assert np.allclose(columns["observed"], observed, rtol=1e-9)
+        assert np.allclose(columns["predicted"], predicted, rtol=1e-9)
+        assert np.allclose(columns["residual"], predicted - observed, rtol=1e-9)
+
+    def test_model_without_day_effect_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "fit.json"
+        code, _, _ = run_cli(
+            capsys, "fit", "--bundled", "temperature", "--out", str(path)
+        )
+        assert code == EXIT_OK
+        code, _, err = run_cli(capsys, "predict", "--model", str(path))
+        assert code == EXIT_USAGE
+        assert "fit --day-effect" in err
 
     def test_unknown_metric_is_usage_error(self, capsys, fitted):
         code, _, _ = run_cli(

@@ -65,6 +65,28 @@ class TestDataset:
         merged = data.ccd_dataset().concat(data.validation_dataset())
         assert len(merged) == 44
 
+    def test_equal_datasets(self):
+        assert data.ccd_dataset() == data.ccd_dataset()
+        assert not data.ccd_dataset() != data.ccd_dataset()
+
+    def test_datasets_differing_in_a_response(self):
+        ds = data.ccd_dataset()
+        changed = dict(ds.responses, velocity=ds.responses["velocity"] + 1.0)
+        assert ds != Dataset(ds.runs, changed)
+        renamed = {("speed" if k == "velocity" else k): v
+                   for k, v in ds.responses.items()}
+        assert ds != Dataset(ds.runs, renamed)
+
+    def test_datasets_differing_in_a_run(self):
+        ds = data.ccd_dataset()
+        runs = (Run(ds.runs[0].coords, day=1),) + ds.runs[1:]
+        assert ds != Dataset(runs, ds.responses)
+        assert ds != Design(ds.runs)
+
+    def test_dataset_is_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(data.ccd_dataset())
+
 
 class TestFitReproduction:
     @pytest.mark.parametrize("name", data.RESPONSES)

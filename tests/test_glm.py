@@ -1,10 +1,13 @@
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from augdesign import (
     GLOBAL_FACTORS,
+    Design,
     InvalidPredictorError,
     Link,
     MissingGammaError,
@@ -12,11 +15,13 @@ from augdesign import (
     ParamPoint,
     Run,
     Term,
-    linear_predictor,
-    regressor,
+    fisher_info,
+    fit,
+    predict,
     regressor_matrix,
 )
 from augdesign import data
+from mp_oracle import mp_regressors
 
 coords_strategy = st.tuples(
     *[st.floats(-2, 2, allow_nan=False) for _ in GLOBAL_FACTORS]
@@ -73,11 +78,13 @@ class TestTerm:
             Term.interaction(1, 1)
 
     def test_values(self):
-        x = [1.5, -2.0, 0.5]
-        assert Term.intercept().value(x) == 1.0
-        assert Term.main(1).value(x) == -2.0
-        assert Term.square(0).value(x) == 2.25
-        assert Term.interaction(0, 2).value(x) == 0.75
+        spec = ModelSpec(
+            "m", Link.LOG, ("L", "K", "FDV"),
+            (Term.intercept(), Term.main(1), Term.square(0),
+             Term.interaction(0, 2)),
+        )
+        z = regressor_matrix(spec, [(1.5, -2.0, 0.25, 0.5)])
+        assert z.tolist() == [[1.0, -2.0, 2.25, 0.75]]
 
 
 class TestModelSpec:
@@ -126,42 +133,58 @@ class TestRun:
             Run((0.0, 0.0, 0.0, 0.0), day=2)
 
 
+def oracle_matrix(spec, coords):
+    """The 50-digit regressors of ``mp_oracle``, each rounded to a double."""
+    return np.array(
+        [[float(v) for v in row] for row in mp_regressors(spec, coords)]
+    ).reshape(len(coords), spec.p)
+
+
+BOX_CORNERS = np.array(list(itertools.product((-2.0, 2.0), repeat=4)))
+
+
 class TestRegressor:
     def test_center_run_is_intercept_only(self):
-        z = regressor(data.MODELS["flame_intensity"], Run((0, 0, 0, 0)))
+        z = regressor_matrix(data.MODELS["flame_intensity"], [(0, 0, 0, 0)])[0]
         assert z[0] == 1.0
         assert np.all(z[1:] == 0.0)
 
     def test_inactive_factor_ignored(self):
         spec = data.MODELS["temperature"]
-        a = regressor(spec, Run((1.0, -1.0, 0.5, -2.0)))
-        b = regressor(spec, Run((1.0, -1.0, 0.5, 2.0)))
-        assert np.array_equal(a, b)
+        Z = regressor_matrix(spec, [(1.0, -1.0, 0.5, -2.0), (1.0, -1.0, 0.5, 2.0)])
+        assert np.array_equal(Z[0], Z[1])
 
-    @given(st.lists(coords_strategy, min_size=1, max_size=6))
-    def test_matrix_agrees_with_scalar_version(self, rows):
-        spec = data.MODELS["flame_intensity"]
-        Z = regressor_matrix(spec, np.array(rows))
-        for i, row in enumerate(rows):
-            assert np.allclose(Z[i], regressor(spec, Run(row)))
+    @pytest.mark.parametrize("name", data.RESPONSES)
+    @given(rows=st.lists(coords_strategy, min_size=1, max_size=6))
+    @example(rows=BOX_CORNERS.tolist())
+    @example(rows=data.CCD30[:, :4].tolist())
+    def test_matrix_equals_oracle(self, name, rows):
+        spec = data.MODELS[name]
+        coords = np.array(rows)
+        Z = regressor_matrix(spec, coords)
+        assert Z.shape == (len(rows), spec.p)
+        assert Z.flags.c_contiguous
+        assert np.array_equal(Z, oracle_matrix(spec, coords))
 
 
 class TestLinearPredictor:
     def test_day_shift(self):
-        spec = data.MODELS["temperature"]
-        params = data.ESTIMATES["temperature"]
-        base = linear_predictor(spec, params, Run((0, 0, 0, 0), day=0))
-        shifted = linear_predictor(spec, params, Run((0, 0, 0, 0), day=1))
-        assert shifted - base == pytest.approx(params.gamma)
+        merged = data.ccd_dataset().concat(data.reference_augment_dataset())
+        model = fit(data.MODELS["temperature"], merged, "temperature",
+                    include_day_effect=True)
+        centre = [Run((0, 0, 0, 0), day=0), Run((0, 0, 0, 0), day=1)]
+        base, shifted = predict(model, Design(tuple(centre)))
+        assert shifted - base == pytest.approx(model.gamma_hat)
 
     def test_missing_gamma(self):
         spec = data.MODELS["temperature"]
         params = ParamPoint(data.ESTIMATES["temperature"].beta)
         with pytest.raises(MissingGammaError):
-            linear_predictor(spec, params, Run((0, 0, 0, 0), day=1))
+            fisher_info(spec, params, Design((Run((0, 0, 0, 0), day=1),)))
 
     def test_beta_length_checked(self):
         with pytest.raises(ValueError):
-            linear_predictor(
-                data.MODELS["temperature"], ParamPoint((1.0,)), Run((0, 0, 0, 0))
+            fisher_info(
+                data.MODELS["temperature"], ParamPoint((1.0,), 0.0),
+                Design((Run((0, 0, 0, 0)),)),
             )
