@@ -73,7 +73,26 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str) -> None:
-    Path(path).write_text(text)
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
+def _new_runs(path: str) -> Design:
+    """A design file of new runs, which must all carry day=1."""
+    design = Design.from_csv(_read(path))
+    if any(r.day == 0 for r in design.runs):
+        raise UsageError(
+            f"{path} has a day-0 run, but only new day-1 runs can be scored "
+            "(a missing day column reads as day 0)"
+        )
+    return design
+
+
+def _check_response(dataset: Dataset, response: str) -> None:
+    if response not in dataset.responses:
+        raise UsageError(f"dataset has no response {response!r}")
 
 
 def _load_dataset(args) -> Dataset:
@@ -108,10 +127,11 @@ def _pso_config(args) -> PsoConfig:
 
 
 def _add_pso_flags(parser) -> None:
-    parser.add_argument("--swarm", type=int, default=100)
-    parser.add_argument("--iters", type=int, default=1000)
-    parser.add_argument("--restarts", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=0)
+    default = PsoConfig()
+    parser.add_argument("--swarm", type=int, default=default.swarm_size)
+    parser.add_argument("--iters", type=int, default=default.iterations)
+    parser.add_argument("--restarts", type=int, default=default.restarts)
+    parser.add_argument("--seed", type=int, default=default.seed)
 
 
 def cmd_fit(args) -> int:
@@ -126,6 +146,7 @@ def cmd_fit(args) -> int:
     if args.link:
         spec = ModelSpec(spec.name, Link(args.link), spec.factors, spec.terms)
     dataset = _load_dataset(args)
+    _check_response(dataset, response)
     model = fit(spec, dataset, response, include_day_effect=args.day_effect)
 
     labels = [_term_label(spec, t) for t in spec.terms]
@@ -220,12 +241,12 @@ def cmd_design(args) -> int:
 
 def cmd_efficiency(args) -> int:
     scenario = _scenario_from_arg(args.model)
-    design = Design.from_csv(_read(args.design))
+    design = _new_runs(args.design)
     m = len(design)
     ensemble = ScenarioEnsemble([scenario], data.initial_design(), m)
     phi = phi_D if args.flavor == "D" else phi_D1
     if args.relative_to:
-        other = Design.from_csv(_read(args.relative_to))
+        other = _new_runs(args.relative_to)
         if len(other) != m:
             raise DimensionError(
                 f"designs have different sizes: {m} vs {len(other)}"
@@ -250,8 +271,7 @@ def cmd_predict(args) -> int:
     model = FittedModel.from_json(_read(args.model))
     dataset = Dataset.from_csv(_read(args.data)) if args.data else data.validation_dataset()
     response = args.response or model.spec.name
-    if response not in dataset.responses:
-        raise UsageError(f"dataset has no response {response!r}")
+    _check_response(dataset, response)
     observed = dataset.responses[response]
     predicted = predict(model, dataset)
     csv_text = write_csv(dataset.runs, {

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
@@ -20,7 +21,9 @@ from .glm import (
     ModelSpec,
     regressor_matrix,
 )
-from .information import MINUS_INF, Design, log_det, read_csv, write_csv
+from .information import (
+    MINUS_INF, Design, cholesky, log_det, read_csv, write_csv,
+)
 
 MAX_SCORING_ITERATIONS = 100
 MAX_STEP_HALVINGS = 30
@@ -53,6 +56,8 @@ class Dataset(Design):
         for name, arr in self.responses.items():
             if arr.shape != (n,):
                 raise ValueError(f"response {name!r} must have one value per run")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"response {name!r} has non-finite values")
             if np.any(arr <= 0.0):
                 raise ValueError(f"response {name!r} has nonpositive values")
 
@@ -90,7 +95,7 @@ class Dataset(Design):
 
 @dataclass(frozen=True)
 class FittedModel:
-    """A converged Gamma GLM fit plus its uncertainty summaries.
+    """A fitted Gamma GLM plus its uncertainty summaries.
 
     ``std_errors`` and ``covariance`` cover the coefficient vector in the
     order (beta, gamma) when a day effect is included.
@@ -181,6 +186,14 @@ def _starting_point(link: Link, Z: np.ndarray, y: np.ndarray) -> np.ndarray:
     return beta
 
 
+def _information_factor(info: np.ndarray) -> np.ndarray:
+    """Cholesky factor of the information, by the criteria's singularity rule."""
+    chol = cholesky(info)
+    if chol is None:
+        raise RankDeficientError("expected information is singular")
+    return chol
+
+
 def fit(
     spec: ModelSpec,
     data: Dataset,
@@ -203,27 +216,13 @@ def fit(
     n, k = Z.shape
     if n < k + 1:
         raise RankDeficientError(f"{n} runs cannot identify {k} coefficients")
-    if np.linalg.matrix_rank(Z) < k:
-        raise RankDeficientError("model matrix is rank deficient")
 
     # Scoring maximizes the log-likelihood over beta at a fixed shape nu = 1.
     beta = _starting_point(spec.link, Z, y)
-    try:
-        current = gamma_log_likelihood(y, spec.link.mean(Z @ beta), 1.0)
-    except InvalidPredictorError as exc:
-        raise InvalidPredictorError(
-            f"no admissible starting point for response {response!r}: {exc}"
-        ) from exc
-
-    converged = False
+    current = gamma_log_likelihood(y, spec.link.mean(Z @ beta), 1.0)
     for _ in range(MAX_SCORING_ITERATIONS):
         score, info = _score_and_info(spec.link, Z, beta, y)
-        try:
-            step = np.linalg.solve(info, score)
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficientError(
-                "expected information became singular during scoring"
-            ) from exc
+        step = cho_solve((_information_factor(info), True), score)
         scale = 1.0
         for _ in range(MAX_STEP_HALVINGS):
             trial = beta + scale * step
@@ -242,9 +241,8 @@ def fit(
         moved = scale * float(np.max(np.abs(step)))
         beta, current = trial, value
         if moved < 1e-10 * (1.0 + float(np.max(np.abs(beta)))):
-            converged = True
             break
-    if not converged:
+    else:
         raise DivergenceError(
             f"Fisher scoring did not converge for response {response!r}"
         )
@@ -260,7 +258,7 @@ def fit(
     ll = gamma_log_likelihood(y, mu, nu)
 
     _, info = _score_and_info(spec.link, Z, beta, y)
-    covariance = np.linalg.inv(nu * info)
+    covariance = cho_solve((_information_factor(info), True), np.eye(k)) / nu
     std_errors = tuple(float(v) for v in np.sqrt(np.diag(covariance)))
     bic = -2.0 * ll + (k + 1) * math.log(n)
 

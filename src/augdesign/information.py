@@ -151,7 +151,7 @@ def fisher_info(
     )[:-1, :-1]
 
 
-def _cholesky(a: np.ndarray) -> np.ndarray | None:
+def cholesky(a: np.ndarray) -> np.ndarray | None:
     """Lower Cholesky factor of ``a``, or None when ``a`` is numerically singular.
 
     A pivot is considered zero when its square falls below SINGULAR_TOL
@@ -172,7 +172,7 @@ def _cholesky(a: np.ndarray) -> np.ndarray | None:
 
 def log_det(a: np.ndarray) -> float:
     """Log determinant via Cholesky; -inf when numerically singular."""
-    chol = _cholesky(a)
+    chol = cholesky(a)
     if chol is None:
         return MINUS_INF
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
@@ -184,7 +184,7 @@ def inv_quadratic_form(a: np.ndarray) -> float:
     With I = L L^T, (I^{-1})_nn = 1 / L_nn^2, so the value is the square of
     the factor's last pivot.
     """
-    chol = _cholesky(a)
+    chol = cholesky(a)
     if chol is None:
         return 0.0
     return float(chol[-1, -1] ** 2)

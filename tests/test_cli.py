@@ -17,7 +17,7 @@ from augdesign import (
     predict,
 )
 from augdesign import cli, data
-from augdesign.information import read_csv
+from augdesign.information import read_csv, write_csv
 from augdesign.cli import (
     EXIT_CACHE,
     EXIT_DIMENSION,
@@ -91,6 +91,36 @@ class TestFitCommand:
         assert code == EXIT_PARSE
         assert "temperature" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_response_is_parse_error(self, capsys, tmp_path, value):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            f"run,L,K,D,FDV,day,temperature\n1,0,0,0,0,0,10\n2,1,0,0,0,0,{value}\n"
+        )
+        code, _, err = run_cli(
+            capsys, "fit", "--bundled", "temperature", "--data", str(bad)
+        )
+        assert code == EXIT_PARSE
+        assert "'temperature' has non-finite values" in err
+
+    def test_missing_response_is_usage_error_as_in_predict(self, capsys, tmp_path):
+        ccd = data.ccd_dataset()
+        runs = tmp_path / "runs.csv"
+        runs.write_text(write_csv(ccd.runs, {"y": ccd.responses["velocity"]}))
+        model = tmp_path / "fit.json"
+        assert run_cli(capsys, "fit", "--bundled", "temperature",
+                       "--out", str(model))[0] == EXIT_OK
+        code, _, fit_err = run_cli(
+            capsys, "fit", "--bundled", "temperature", "--data", str(runs)
+        )
+        assert code == EXIT_USAGE
+        assert "dataset has no response 'temperature'" in fit_err
+        code, _, predict_err = run_cli(
+            capsys, "predict", "--model", str(model), "--data", str(runs)
+        )
+        assert code == EXIT_USAGE
+        assert predict_err == fit_err
+
     def test_link_override_worsens_bic(self, capsys):
         code, stdout, _ = run_cli(
             capsys, "fit", "--bundled", "temperature", "--link", "log"
@@ -128,6 +158,20 @@ class TestDesignCommand:
         assert code == EXIT_OK
         header = data.REFERENCE_DESIGN.to_csv().splitlines(keepends=True)[0]
         assert out.read_bytes() == header.encode()
+
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, flag):
+        path = tmp_path / "missing" / "d.csv"
+        code, _, err = run_cli(
+            capsys, "design", "--criterion", "D", "--models", "temperature",
+            *TINY_SEARCH, flag, str(path),
+        )
+        assert code == EXIT_USAGE
+        assert f"cannot write {path}" in err
+
+    def test_search_flag_defaults_are_the_config_defaults(self):
+        args = cli.build_parser().parse_args(["design", "--criterion", "D"])
+        assert cli._pso_config(args) == PsoConfig()
 
     def test_gammas_with_local_criterion_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -256,6 +300,36 @@ class TestEfficiencyCommand:
             "--relative-to", str(b), "--model", "temperature",
         )
         assert code == EXIT_DIMENSION
+
+    @pytest.fixture
+    def day0_csv(self, tmp_path):
+        """A design file without a day column, so every run reads as day 0."""
+        path = tmp_path / "day0.csv"
+        path.write_text("L,K,D,FDV\n0,0,0,0\n1,1,1,1\n-1,1,-1,1\n1,-1,1,-1\n")
+        return path
+
+    @pytest.mark.parametrize("flag", ["--design", "--relative-to"])
+    def test_day_zero_design_is_usage_error(
+        self, capsys, reference_csv, day0_csv, flag
+    ):
+        other = "--relative-to" if flag == "--design" else "--design"
+        code, _, err = run_cli(
+            capsys, "efficiency", "--model", "temperature",
+            flag, str(day0_csv), other, str(reference_csv),
+        )
+        assert code == EXIT_USAGE
+        assert str(day0_csv) in err and "missing day column" in err
+
+    def test_day_zero_design_rejected_before_the_search(
+        self, capsys, monkeypatch, day0_csv
+    ):
+        monkeypatch.setattr(cli, "solve_local", None)
+        code, _, err = run_cli(
+            capsys, "efficiency", "--design", str(day0_csv),
+            "--model", "temperature", *TINY_SEARCH,
+        )
+        assert code == EXIT_USAGE
+        assert str(day0_csv) in err
 
     def test_reference_vs_local_optimum(self, capsys, tmp_path):
         path = tmp_path / "ref.csv"

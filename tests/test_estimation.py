@@ -12,10 +12,13 @@ from augdesign import (
     Link,
     MissingGammaError,
     ModelSpec,
+    ParamPoint,
     RankDeficientError,
     Run,
     Term,
+    fisher_info,
     fit,
+    log_det,
     observed_efficiency,
     predict,
     prediction_error,
@@ -36,6 +39,12 @@ class TestDataset:
     def test_nonpositive_response_rejected(self):
         with pytest.raises(ValueError):
             Dataset((Run((0, 0, 0, 0)),), {"y": np.array([-1.0])})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_response_rejected(self, value):
+        with pytest.raises(ValueError, match="'y' has non-finite values"):
+            Dataset((Run((0, 0, 0, 0)), Run((1, 0, 0, 0))),
+                    {"y": np.array([1.0, value])})
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -197,6 +206,25 @@ class TestFitProperties:
     def test_unknown_response_rejected(self):
         with pytest.raises(KeyError):
             fit(data.MODELS["temperature"], data.ccd_dataset(), "pressure")
+
+
+class TestSingularityRule:
+    """fit and the design criteria decide singularity by one rule."""
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-6, 1e-7])
+    def test_fit_rejects_exactly_the_singular_designs(self, eps):
+        spec = ModelSpec("line", Link.LOG, ("L",), (Term.intercept(), Term.main(0)))
+        runs = tuple(Run((eps * (i % 2), 0, 0, 0)) for i in range(12))
+        ds = Dataset(runs, {"y": 1.0 + 0.1 * (np.arange(12) % 5)})
+        # With a log link the information does not depend on beta.  The
+        # pivot test puts the threshold near eps = 2e-6, so both arms run.
+        info = fisher_info(spec, ParamPoint((0.0, 0.0)), ds, with_day_effect=False)
+        if log_det(info) == -math.inf:
+            with pytest.raises(RankDeficientError):
+                fit(spec, ds, "y")
+        else:
+            model = fit(spec, ds, "y")
+            assert observed_efficiency(model, model) == 1.0
 
 
 class TestFittedModel:
