@@ -12,6 +12,9 @@ from .glm import InvalidPredictorError, ModelSpec, ParamPoint
 from .information import (
     Design,
     augmented_info_entries,
+    cholesky,
+    factor_last_pivot_sq,
+    factor_log_det,
     inv_quadratic_form,
     log_det,
 )
@@ -45,6 +48,11 @@ class Scenario:
                 f"scenario for model {self.spec.name!r} has "
                 f"{len(self.params.beta)} coefficients; the model has "
                 f"{self.spec.p} terms"
+            )
+        if not np.all(np.isfinite([*self.params.beta, self.params.gamma])):
+            raise ValueError(
+                f"scenario for model {self.spec.name!r} has a non-finite "
+                "coefficient or day effect"
             )
 
 
@@ -89,10 +97,12 @@ class ScenarioEnsemble:
             self._positions.setdefault((id(s.spec), s.params), i)
 
     def augmented_entries(self, idx: int, new_coords: np.ndarray) -> np.ndarray:
+        """Information of the initial design plus the (m, 4) new day-1 runs;
+        a (k, m, 4) stack of new runs gives a (k, p+1, p+1) stack."""
         s = self.scenarios[idx]
         if new_coords.size == 0:
             return self._base[idx]
-        days = np.ones(len(new_coords))
+        days = np.ones(new_coords.shape[:-1])
         add = augmented_info_entries(s.spec, s.params, new_coords, days)
         return self._base[idx] + add
 
@@ -129,6 +139,10 @@ def _new_coords(new_runs: NewRuns) -> np.ndarray:
             raise ValueError("new runs must all carry day=1")
         return new_runs.coords
     arr = np.asarray(new_runs, dtype=float)
+    if arr.ndim > 2:
+        raise ValueError(
+            f"new runs must be one design of shape (m, 4), got shape {arr.shape}"
+        )
     return arr.reshape(-1, 4)
 
 
@@ -155,16 +169,52 @@ def phi_D1(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble) ->
     return inv_quadratic_form(entries)
 
 
-def eff_D(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble) -> float:
+def phi_stack(
+    scenario: Scenario, stack: np.ndarray, ensemble: ScenarioEnsemble, flavor: str
+) -> np.ndarray:
+    """phi_D or phi_D1 of each design in a (k, m, 4) stack of new day-1 runs,
+    from one assembly and one Cholesky call.
+
+    numpy rejects a stack as a whole, so when one design violates the link
+    domain or gives a matrix that is not positive definite, the stack is
+    scored one design at a time through phi_D or phi_D1 instead.
+    """
     idx = _position(ensemble, scenario)
-    opt = ensemble.require_cache(idx)
-    return phi_D(scenario, new_runs, ensemble) / opt.phi_d_at_d_opt
+    try:
+        chol, ok = cholesky(ensemble.augmented_entries(idx, stack))
+    except (InvalidPredictorError, np.linalg.LinAlgError):
+        phi = phi_D if flavor == "D" else phi_D1
+        return np.array([phi(scenario, runs, ensemble) for runs in stack])
+    if flavor == "D":
+        values = np.exp(factor_log_det(chol) / chol.shape[-1])
+    else:
+        values = factor_last_pivot_sq(chol)
+    return np.where(ok, values, 0.0)
 
 
-def eff_D1(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble) -> float:
+def _phi(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble,
+         flavor: str):
+    """phi_D or phi_D1 of one design, or of each design in a (k, m, 4) array."""
+    if getattr(new_runs, "ndim", 0) == 3:
+        return phi_stack(scenario, new_runs, ensemble, flavor)
+    phi = phi_D if flavor == "D" else phi_D1
+    return phi(scenario, new_runs, ensemble)
+
+
+def eff_D(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble):
+    """phi_D relative to its cached optimum; a (k, m, 4) array of designs
+    gives k values."""
     idx = _position(ensemble, scenario)
     opt = ensemble.require_cache(idx)
-    return phi_D1(scenario, new_runs, ensemble) / opt.phi_d1_at_d1_opt
+    return _phi(scenario, new_runs, ensemble, "D") / opt.phi_d_at_d_opt
+
+
+def eff_D1(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble):
+    """phi_D1 relative to its cached optimum; a (k, m, 4) array of designs
+    gives k values."""
+    idx = _position(ensemble, scenario)
+    opt = ensemble.require_cache(idx)
+    return _phi(scenario, new_runs, ensemble, "D1") / opt.phi_d1_at_d1_opt
 
 
 def d1_ratio_vs_d_optimum(
@@ -176,8 +226,9 @@ def d1_ratio_vs_d_optimum(
     return phi_D1(scenario, new_runs, ensemble) / opt.phi_d1_at_d_opt
 
 
-def phi_bayes(ensemble: ScenarioEnsemble, new_runs: NewRuns, flavor: str) -> float:
-    """Weighted average of per-scenario efficiencies over the ensemble."""
+def phi_bayes(ensemble: ScenarioEnsemble, new_runs: NewRuns, flavor: str):
+    """Weighted average of per-scenario efficiencies over the ensemble; a
+    (k, m, 4) array of designs gives k values."""
     if flavor not in ("D", "D1"):
         raise ValueError("flavor must be 'D' or 'D1'")
     eff = eff_D if flavor == "D" else eff_D1
@@ -186,11 +237,10 @@ def phi_bayes(ensemble: ScenarioEnsemble, new_runs: NewRuns, flavor: str) -> flo
     )
 
 
-def phi_compromise(
-    ensemble: ScenarioEnsemble, new_runs: NewRuns, alpha: float
-) -> float:
+def phi_compromise(ensemble: ScenarioEnsemble, new_runs: NewRuns, alpha: float):
     """alpha * Phi_B + (1 - alpha) * Phi_B1; a term with weight 0 is not
-    evaluated, so alpha = 1 and alpha = 0 give exactly Phi_B and Phi_B1."""
+    evaluated, so alpha = 1 and alpha = 0 give exactly Phi_B and Phi_B1.
+    A (k, m, 4) array of designs gives k values."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     value = 0.0

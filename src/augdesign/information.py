@@ -116,13 +116,18 @@ def augmented_info_entries(
     coords: np.ndarray,
     days: np.ndarray,
 ) -> np.ndarray:
-    """Raw (p+1)x(p+1) information entries for given coordinates and day flags."""
-    Z = regressor_matrix(spec, coords)
+    """Raw (p+1)x(p+1) information entries for given coordinates and day flags.
+
+    A (k, n, 4) stack of coordinates with (k, n) day flags gives the k
+    matrices as one (k, p+1, p+1) stack.
+    """
+    Z = regressor_matrix(spec, coords.reshape(-1, len(GLOBAL_FACTORS)))
+    Z = Z.reshape(*coords.shape[:-1], spec.p)
     beta = np.asarray(params.beta)
     eta = Z @ beta + days * params.gamma
     w = spec.link.weight(eta)
-    Zs = np.column_stack([Z, days.astype(float)])
-    return (Zs * w[:, None]).T @ Zs
+    Zs = np.concatenate([Z, days[..., None].astype(float)], axis=-1)
+    return np.swapaxes(Zs * w[..., None], -1, -2) @ Zs
 
 
 def fisher_info(
@@ -151,23 +156,48 @@ def fisher_info(
     )[:-1, :-1]
 
 
-def cholesky(a: np.ndarray) -> np.ndarray | None:
+def _nonsingular(a: np.ndarray, chol: np.ndarray):
+    """Whether each factor passes the singularity test, over the last two
+    axes: every squared pivot is at least SINGULAR_TOL times the largest
+    diagonal entry of the matrix.  A NaN pivot or scale fails it."""
+    scale = np.max(np.diagonal(a, axis1=-2, axis2=-1), axis=-1)
+    piv = np.diagonal(chol, axis1=-2, axis2=-1)
+    return (scale > 0.0) & (np.min(piv * piv, axis=-1) >= SINGULAR_TOL * scale)
+
+
+def cholesky(a: np.ndarray):
     """Lower Cholesky factor of ``a``, or None when ``a`` is numerically singular.
 
-    A pivot is considered zero when its square falls below SINGULAR_TOL
-    times the largest diagonal entry of the matrix.
+    A (k, n, n) stack is factored in one call and gives the (k, n, n)
+    factors with a length-k mask of the nonsingular ones.  numpy rejects a
+    stack as a whole: it raises ``LinAlgError`` when any matrix in it is not
+    positive definite.
     """
-    scale = float(np.max(np.diag(a))) if a.size else 0.0
-    if scale <= 0.0:
+    if a.ndim > 2:
+        chol = np.linalg.cholesky(a)
+        return chol, _nonsingular(a, chol)
+    if a.size == 0:
         return None
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return None
-    piv = np.diag(chol)
-    if np.min(piv * piv) < SINGULAR_TOL * scale:
-        return None
-    return chol
+    return chol if _nonsingular(a, chol) else None
+
+
+def factor_log_det(chol: np.ndarray):
+    """log det(L L^T) = 2 sum log diag L, over the last two axes of ``chol``."""
+    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+
+
+def factor_last_pivot_sq(chol: np.ndarray):
+    """L_nn^2, over the last two axes: with I = L L^T, (I^{-1})_nn = 1 / L_nn^2,
+    so this is (e^T I^{-1} e)^{-1} for the last coordinate.
+
+    One factor squares a numpy scalar, which rounds like C ``pow``; a stack
+    squares an array, which rounds the product.  They can differ by one ulp.
+    """
+    return chol[..., -1, -1][()] ** 2
 
 
 def log_det(a: np.ndarray) -> float:
@@ -175,16 +205,12 @@ def log_det(a: np.ndarray) -> float:
     chol = cholesky(a)
     if chol is None:
         return MINUS_INF
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return float(factor_log_det(chol))
 
 
 def inv_quadratic_form(a: np.ndarray) -> float:
-    """(e^T I^{-1} e)^{-1} for the last coordinate; 0.0 when singular.
-
-    With I = L L^T, (I^{-1})_nn = 1 / L_nn^2, so the value is the square of
-    the factor's last pivot.
-    """
+    """(e^T I^{-1} e)^{-1} for the last coordinate; 0.0 when singular."""
     chol = cholesky(a)
     if chol is None:
         return 0.0
-    return float(chol[-1, -1] ** 2)
+    return float(factor_last_pivot_sq(chol))

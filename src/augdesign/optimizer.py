@@ -8,18 +8,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .criteria import (
-    Scenario,
-    ScenarioEnsemble,
-    phi_D,
-    phi_D1,
-    phi_compromise,
-)
+from .criteria import Scenario, ScenarioEnsemble, phi_compromise, phi_stack
 from .data import PUBLISHED_DESIGNS
-from .glm import COORD_MAX, COORD_MIN, GLOBAL_FACTORS as COORD_NAMES
+from .glm import COORD_MAX, COORD_MIN, GLOBAL_FACTORS as COORD_NAMES, Link
 from .information import Design
 
-Objective = Callable[[np.ndarray], float]
+Objective = Callable[[np.ndarray], np.ndarray]
 ALL_FACTORS = tuple(range(len(COORD_NAMES)))
 
 
@@ -65,16 +59,10 @@ class SearchResult:
     best_fragment: Optional[np.ndarray] = None
 
 
-def _evaluate(objective: Objective, positions: np.ndarray, m: int,
-              dims: int) -> np.ndarray:
-    fragments = positions.reshape(len(positions), m, dims)
-    return np.array([objective(f) for f in fragments])
-
-
 def _expand(fragment: np.ndarray, indices: tuple[int, ...]) -> np.ndarray:
-    """Embed an (m, len(indices)) fragment into full 4-factor coordinates."""
-    full = np.zeros((len(fragment), len(COORD_NAMES)))
-    full[:, list(indices)] = fragment
+    """Embed (..., m, len(indices)) fragments into full 4-factor coordinates."""
+    full = np.zeros((*fragment.shape[:-1], len(COORD_NAMES)))
+    full[..., list(indices)] = fragment
     return full
 
 
@@ -87,10 +75,11 @@ def pso_maximize(
 ) -> SearchResult:
     """Global-best PSO over [-2, 2]^(m*dims).
 
-    ``objective`` maps an (m, dims) fragment to a real value and must return
-    0 (or -inf) for infeasible fragments.  ``seeds`` are fragments placed as
-    initial particles in every restart.  The objective is called on the
-    calling thread, one fragment at a time.
+    ``objective`` maps a (k, m, dims) stack of fragments to k real values and
+    must give 0 (or -inf) for infeasible fragments.  It is called on the
+    calling thread, once per iteration with the whole swarm, and once with a
+    stack of one to recompute the best fragment's value.  ``seeds`` are
+    fragments placed as initial particles in every restart.
     """
     if m < 1 or dims < 1:
         raise ValueError("m and dims must be positive")
@@ -112,7 +101,7 @@ def pso_maximize(
             x[i] = s
             v[i] = 0.0
 
-        values = _evaluate(objective, x, m, dims)
+        values = objective(x.reshape(-1, m, dims))
         evaluations += len(values)
         pbest, pval = x.copy(), values.copy()
         g = int(np.argmax(pval))
@@ -132,7 +121,7 @@ def pso_maximize(
             np.clip(x, COORD_MIN, COORD_MAX, out=x)
             v[clamped] = 0.0
 
-            values = _evaluate(objective, x, m, dims)
+            values = objective(x.reshape(-1, m, dims))
             evaluations += len(values)
             improved = values > pval
             pbest[improved] = x[improved]
@@ -153,7 +142,7 @@ def pso_maximize(
 
     assert best_flat is not None
     fragment = best_flat.reshape(m, dims)
-    recomputed = float(objective(fragment))
+    recomputed = float(objective(fragment[None])[0])
     return SearchResult(None, recomputed, tuple(histories), evaluations, fragment)
 
 
@@ -203,25 +192,34 @@ def solve_local(
         return SearchResult(None, 0.0, ((0.0,),), 0)
     ensemble = ScenarioEnsemble([scenario], initial_design, m)
     indices = scenario.spec.global_indices
-    phi = phi_D if flavor == "D" else phi_D1
 
-    def objective(fragment: np.ndarray) -> float:
-        return phi(scenario, _expand(fragment, indices), ensemble)
+    def objective(fragments: np.ndarray) -> np.ndarray:
+        return phi_stack(scenario, _expand(fragments, indices), ensemble, flavor)
 
     return _search(objective, m, indices, config)
 
 
 def build_cache(ensemble: ScenarioEnsemble, config: PsoConfig) -> ScenarioEnsemble:
     """Populate the ensemble's locally-optimal-value cache by running both
-    local searches for every scenario.  Returns the same ensemble."""
+    local searches for every scenario.  Returns the same ensemble.
+
+    Scenarios of one model share their searches when their information is
+    equal: always under a log link, whose weight is 1 whatever beta and
+    gamma are, and otherwise only at equal parameters.
+    """
+    optima: dict[tuple, tuple[Design, Design]] = {}
     for idx, scenario in enumerate(ensemble.scenarios):
-        d_opt = solve_local(
-            scenario, ensemble.initial_design, ensemble.m, "D", config
-        ).best_design
-        d1_opt = solve_local(
-            scenario, ensemble.initial_design, ensemble.m, "D1", config
-        ).best_design
-        ensemble.set_optimal(idx, d_opt, d1_opt)
+        key: tuple = (id(scenario.spec),)
+        if scenario.spec.link is not Link.LOG:
+            key += (scenario.params,)
+        if key not in optima:
+            optima[key] = tuple(
+                solve_local(
+                    scenario, ensemble.initial_design, ensemble.m, flavor, config
+                ).best_design
+                for flavor in ("D", "D1")
+            )
+        ensemble.set_optimal(idx, *optima[key])
     return ensemble
 
 
@@ -232,7 +230,7 @@ def solve_compromise(
     alpha = 1 is the Bayesian D search, alpha = 0 the Bayesian D1 search.
 
     Requires the locally-optimal cache (build_cache) for every scenario."""
-    def objective(fragment: np.ndarray) -> float:
-        return phi_compromise(ensemble, fragment, alpha)
+    def objective(fragments: np.ndarray) -> np.ndarray:
+        return phi_compromise(ensemble, fragments, alpha)
 
     return _search(objective, ensemble.m, ALL_FACTORS, config)

@@ -425,7 +425,7 @@ def test_criterion_8_property_suites(local_ensembles):
 
     # swarm determinism: the same seed gives a bit-identical search
     def sphere(f):
-        return -float(np.sum((f - 0.5) ** 2))
+        return -np.sum((f - 0.5) ** 2, axis=(-2, -1))
 
     small = PsoConfig(swarm_size=12, iterations=40, restarts=2, seed=9)
     one = pso_maximize(sphere, 2, 4, small)

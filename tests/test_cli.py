@@ -418,6 +418,31 @@ def test_short_beta_is_parse_error_naming_the_model(
     assert "model 'temperature' has 2 coefficients" in err
 
 
+@pytest.mark.parametrize("criterion", ["D", "bayesD"])
+@pytest.mark.parametrize("field", ["beta", "gamma"])
+def test_non_finite_parameter_is_parse_error_naming_the_model(
+    capsys, tmp_path, criterion, field
+):
+    # json reads NaN, so a scenario file can carry one.
+    d = {
+        "model": data.MODELS["temperature"].to_dict(),
+        "beta": list(data.ESTIMATES["temperature"].beta),
+        "gamma": data.ESTIMATES["temperature"].gamma,
+    }
+    if field == "beta":
+        d["beta"][0] = float("nan")
+    else:
+        d["gamma"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(d))
+    code, _, err = run_cli(
+        capsys, "design", "--criterion", criterion, "--models", str(path),
+        *TINY_SEARCH,
+    )
+    assert code == EXIT_PARSE
+    assert "model 'temperature' has a non-finite" in err
+
+
 def test_bad_design_cell_is_parse_error_naming_the_line(capsys, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("run,L,K,D,FDV,day\n1,0,0,0,0,1\n2,0,x,0,0,1\n")

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from augdesign import (
     Design,
@@ -39,6 +42,17 @@ class TestScenario:
                 data.MODELS["velocity"],
                 ParamPoint(data.ESTIMATES["velocity"].beta),
             )
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["beta", "gamma"])
+    def test_non_finite_parameters_rejected(self, field, value):
+        base = data.ESTIMATES["velocity"]
+        if field == "beta":
+            params = ParamPoint((value, *base.beta[1:]), base.gamma)
+        else:
+            params = ParamPoint(base.beta, value)
+        with pytest.raises(ValueError, match="model 'velocity' has a non-finite"):
+            Scenario(data.MODELS["velocity"], params)
 
 
 class TestEnsemble:
@@ -118,6 +132,13 @@ class TestPhi:
         assert phi_D1(s, np.array(new_runs), PM10PM20) == pytest.approx(
             expect, rel=1e-9
         )
+
+    @pytest.mark.parametrize("phi", [phi_D, phi_D1])
+    def test_stack_of_designs_rejected(self, phi):
+        # Flattening three 4-run designs would score one 12-run design.
+        stack = np.stack([data.REFERENCE_DESIGN.coords] * 3)
+        with pytest.raises(ValueError, match="one design"):
+            phi(PM10PM20.scenarios[0], stack, PM10PM20)
 
     def test_no_new_runs_gives_zero(self):
         ens = data.single_scenario_ensemble("temperature")
@@ -231,6 +252,105 @@ class TestBayesAndCompromise:
 
         monkeypatch.setattr(criteria, skipped, not_evaluated)
         assert phi_compromise(ens, design, alpha) == expect
+
+
+def _low_intercept_temperature():
+    """The temperature model with its intercept lowered by 1400: the initial
+    design and the bundled optima stay feasible, but the day-1 predictor is
+    negative at some corners of the box."""
+    base = data.ESTIMATES["temperature"]
+    return Scenario(
+        data.MODELS["temperature"],
+        ParamPoint((base.beta[0] - 1400.0, *base.beta[1:]), base.gamma),
+    )
+
+
+def _stack_ensemble():
+    """All twenty pm10pm20 scenarios plus the low-intercept one, with the
+    bundled local optima cached."""
+    ens = ScenarioEnsemble(
+        [*PM10PM20.scenarios, _low_intercept_temperature()],
+        data.initial_design(), 4,
+    )
+    for i, s in enumerate(ens.scenarios):
+        ens.set_optimal(
+            i, data.LOCAL_D_OPTIMAL[s.spec.name], data.LOCAL_D1_OPTIMAL[s.spec.name]
+        )
+    return ens
+
+
+STACK_ENSEMBLE = _stack_ensemble()
+LOW = STACK_ENSEMBLE.scenarios[-1]
+# The 16 box corners as four 4-run designs, and the reference design.
+CORNER_STACK = np.concatenate([
+    np.array(list(itertools.product([-2.0, 2.0], repeat=4))).reshape(4, 4, 4),
+    data.REFERENCE_DESIGN.coords[None],
+])
+coordinate = st.one_of(st.sampled_from([-2.0, 2.0]), st.floats(-2, 2))
+stack_strategy = st.integers(1, 30).flatmap(
+    lambda k: arrays(np.float64, (k, 4, 4), elements=coordinate)
+)
+
+
+def assert_same_as_scalar(stacked, scalar):
+    scalar = np.array(scalar)
+    assert stacked.shape == scalar.shape
+    assert np.array_equal(stacked == 0.0, scalar == 0.0)
+    np.testing.assert_allclose(stacked, scalar, rtol=1e-12, atol=0.0)
+
+
+class TestStacked:
+    """A (k, m, 4) stack of designs against the scalar path, design by design."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(stack=stack_strategy)
+    @example(stack=CORNER_STACK)
+    def test_stack_matches_scalar_calls(self, stack):
+        ens = STACK_ENSEMBLE
+        for s in ens.scenarios:
+            for eff in (eff_D, eff_D1):
+                assert_same_as_scalar(
+                    eff(s, stack, ens), [eff(s, d, ens) for d in stack]
+                )
+        for flavor in ("D", "D1"):
+            assert_same_as_scalar(
+                phi_bayes(ens, stack, flavor),
+                [phi_bayes(ens, d, flavor) for d in stack],
+            )
+        for alpha in (0.0, 0.5, 1.0):
+            assert_same_as_scalar(
+                phi_compromise(ens, stack, alpha),
+                [phi_compromise(ens, d, alpha) for d in stack],
+            )
+
+    def test_infeasible_design_scores_zero_in_a_stack(self):
+        ens = STACK_ENSEMBLE
+        values = eff_D(LOW, CORNER_STACK, ens)
+        assert values[-1] > 0.0
+        assert np.any(values[:-1] == 0.0)
+        assert_same_as_scalar(values, [eff_D(LOW, d, ens) for d in CORNER_STACK])
+
+    @pytest.mark.parametrize("flavor, phi", [("D", phi_D), ("D1", phi_D1)])
+    def test_singular_matrix_scores_zero_in_a_stack(self, flavor, phi):
+        # With gamma = 1e9 the day-1 weights (about 1e-18) vanish next to the
+        # day-0 block: every matrix factors, but fails the SINGULAR_TOL test.
+        base = data.ESTIMATES["temperature"]
+        s = Scenario(data.MODELS["temperature"], ParamPoint(base.beta, 1e9))
+        ens = ScenarioEnsemble([s], data.initial_design(), 4)
+        s = ens.scenarios[0]
+        got = criteria.phi_stack(s, CORNER_STACK, ens, flavor)
+        assert_same_as_scalar(got, [phi(s, d, ens) for d in CORNER_STACK])
+        assert np.all(got == 0.0)
+
+    def test_stack_of_one_is_the_scalar_value(self):
+        design = data.REFERENCE_DESIGN.coords
+        for s in STACK_ENSEMBLE.scenarios:
+            for flavor, phi in (("D", phi_D), ("D1", phi_D1)):
+                got = criteria.phi_stack(s, design[None], STACK_ENSEMBLE, flavor)
+                assert got.shape == (1,)
+                assert got[0] == pytest.approx(
+                    phi(s, design, STACK_ENSEMBLE), rel=1e-12
+                )
 
 
 _AFFINE_CACHE = []

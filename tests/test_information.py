@@ -12,7 +12,7 @@ from augdesign import (
     log_det,
 )
 from augdesign import data
-from augdesign.information import MINUS_INF
+from augdesign.information import MINUS_INF, cholesky
 from mp_oracle import mp_info
 
 
@@ -90,6 +90,41 @@ def test_replicated_design_is_singular():
     run = Run((1.0, 1.0, 1.0, 1.0), day=1)
     design = Design((run,) * 10)
     assert log_det(fisher_info(spec, params, design)) == MINUS_INF
+
+
+def test_nan_matrix_is_singular():
+    info = fisher_info(
+        data.MODELS["flame_width"], data.ESTIMATES["flame_width"], full_design()
+    )
+    info[2, 2] = np.nan
+    assert log_det(info) == MINUS_INF
+    assert inv_quadratic_form(info) == 0.0
+    assert cholesky(info) is None
+
+
+def test_stacked_cholesky_matches_one_matrix_at_a_time():
+    spec, params = data.MODELS["flame_width"], data.ESTIMATES["flame_width"]
+    full = fisher_info(spec, params, full_design())
+    # Positive definite, but its last pivot is below the SINGULAR_TOL test.
+    scaled = np.ones(len(full))
+    scaled[-1] = 1e-8
+    tiny_pivot = full * np.outer(scaled, scaled)
+    nan = full.copy()
+    nan[0, 0] = np.nan
+    stack = np.stack([full, tiny_pivot, nan, 2.0 * full])
+    chol, ok = cholesky(stack)
+    assert ok.tolist() == [True, False, False, True]
+    for a, factor, good in zip(stack, chol, ok):
+        if good:
+            assert np.array_equal(factor, cholesky(a))
+        else:
+            assert cholesky(a) is None
+
+
+def test_stacked_cholesky_rejects_a_stack_with_an_indefinite_matrix():
+    stack = np.stack([np.eye(3), -np.eye(3)])
+    with pytest.raises(np.linalg.LinAlgError):
+        cholesky(stack)
 
 
 def test_inv_quadratic_form_matches_determinant_ratio():

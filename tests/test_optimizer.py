@@ -16,13 +16,13 @@ from augdesign import (
     solve_compromise,
     solve_local,
 )
-from augdesign import data
+from augdesign import data, optimizer
 
 SMALL = PsoConfig(swarm_size=20, iterations=60, restarts=2, seed=7)
 
 
-def sphere(fragment):
-    return -float(np.sum((fragment - 1.0) ** 2))
+def sphere(fragments):
+    return -np.sum((fragments - 1.0) ** 2, axis=(-2, -1))
 
 
 class TestConfig:
@@ -73,9 +73,9 @@ class TestPsoMaximize:
         monkeypatch.setenv("ODEX_THREADS", "4")
         callers = set()
 
-        def objective(fragment):
+        def objective(fragments):
             callers.add(threading.get_ident())
-            return sphere(fragment)
+            return sphere(fragments)
 
         pso_maximize(objective, 2, 4, SMALL)
         assert callers == {threading.get_ident()}
@@ -86,7 +86,7 @@ class TestPsoMaximize:
             assert all(b >= a for a, b in zip(restart, restart[1:]))
 
     def test_result_stays_in_box(self):
-        result = pso_maximize(lambda f: float(np.sum(f)), 3, 4, SMALL)
+        result = pso_maximize(lambda f: np.sum(f, axis=(-2, -1)), 3, 4, SMALL)
         assert np.all(result.best_fragment <= 2.0)
         assert np.all(result.best_fragment >= -2.0)
         assert not np.any(np.isnan(result.best_fragment))
@@ -97,6 +97,20 @@ class TestPsoMaximize:
         seed = np.full((2, 4), 0.5)
         result = pso_maximize(sphere, 2, 4, SMALL, seeds=[seed])
         assert result.best_value >= sphere(seed)
+
+    def test_scores_each_iteration_in_one_call(self):
+        shapes = []
+
+        def objective(fragments):
+            shapes.append(fragments.shape)
+            return sphere(fragments)
+
+        # Below the stagnation window every restart runs all its iterations.
+        result = pso_maximize(objective, 2, 3, SMALL)
+        swarm = (SMALL.swarm_size, 2, 3)
+        calls = SMALL.restarts * (SMALL.iterations + 1)
+        assert shapes == [swarm] * calls + [(1, 2, 3)]
+        assert result.evaluations == calls * SMALL.swarm_size
 
     def test_bad_dimensions(self):
         with pytest.raises(ValueError):
@@ -156,6 +170,35 @@ class TestCache:
             s = ens.scenarios[0]
             published = phi_D(s, data.LOCAL_D_OPTIMAL[name], ens)
             assert ens.require_cache(0).phi_d_at_d_opt >= published * (1 - 1e-6)
+
+
+class TestCacheDedup:
+    TINY = PsoConfig(swarm_size=8, iterations=10, restarts=1, seed=3)
+
+    def test_one_search_pair_per_information(self, monkeypatch):
+        calls = []
+
+        def counted(scenario, *args):
+            calls.append(scenario)
+            return solve_local(scenario, *args)
+
+        monkeypatch.setattr(optimizer, "solve_local", counted)
+        build_cache(data.model_ensemble("pm10pm20"), self.TINY)
+        # Five day-effect values per model; the log-link velocity model's
+        # information does not depend on them.
+        assert len(calls) == 2 * (1 + 3 * 5)
+        assert sum(s.spec.name == "velocity" for s in calls) == 2
+
+    def test_cache_equals_one_search_pair_per_scenario(self):
+        shared = build_cache(data.model_ensemble("pm10pm20"), self.TINY)
+        each = data.model_ensemble("pm10pm20")
+        for idx, s in enumerate(each.scenarios):
+            each.set_optimal(idx, *(
+                solve_local(s, each.initial_design, each.m, flavor, self.TINY)
+                .best_design
+                for flavor in ("D", "D1")
+            ))
+        assert shared.cache == each.cache
 
 
 class TestEnsembleSolvers:
