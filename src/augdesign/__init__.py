@@ -11,6 +11,7 @@ from .criteria import (
     OptimalValues,
     Scenario,
     ScenarioEnsemble,
+    StackScores,
     d1_ratio_vs_d_optimum,
     eff_D,
     eff_D1,

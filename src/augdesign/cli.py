@@ -107,6 +107,10 @@ def _scenario_from_arg(value: str) -> Scenario:
     if value in data.RESPONSES:
         return Scenario(data.MODELS[value], data.ESTIMATES[value], 1.0)
     d = json.loads(_read(value))
+    if not isinstance(d, dict) or not isinstance(d.get("model"), dict):
+        raise ValueError(f"{value}: a scenario needs a \"model\" object")
+    if not isinstance(d.get("beta"), list):
+        raise ValueError(f"{value}: a scenario needs a \"beta\" list")
     return Scenario(
         ModelSpec.from_dict(d["model"]),
         ParamPoint(tuple(d["beta"]), d.get("gamma")),

@@ -3,8 +3,9 @@ and the alpha-compromise between estimation and day-effect testing."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -19,7 +20,21 @@ from .information import (
     log_det,
 )
 
-NewRuns = Union[Design, np.ndarray, None]
+
+class StackScores(NamedTuple):
+    """phi_D and phi_D1 of k designs under each of an ensemble's S scenarios,
+    as two (S, k) arrays in scenario order (``ScenarioEnsemble.score``).
+
+    The criteria take it in place of the (k, m, 4) stack it scores and read
+    their scenario's row, so a stack is assembled and factored once however
+    many averages use it.
+    """
+
+    D: np.ndarray
+    D1: np.ndarray
+
+
+NewRuns = Union[Design, np.ndarray, StackScores, None]
 
 
 class MissingCacheError(RuntimeError):
@@ -49,11 +64,19 @@ class Scenario:
                 f"{len(self.params.beta)} coefficients; the model has "
                 f"{self.spec.p} terms"
             )
-        if not np.all(np.isfinite([*self.params.beta, self.params.gamma])):
+        values = (*self.params.beta, self.params.gamma)
+        if not all(isinstance(v, numbers.Real) for v in values):
+            raise ValueError(
+                f"scenario for model {self.spec.name!r} has a coefficient or "
+                "day effect that is not a number"
+            )
+        if not np.all(np.isfinite(values)):
             raise ValueError(
                 f"scenario for model {self.spec.name!r} has a non-finite "
                 "coefficient or day effect"
             )
+        params = ParamPoint(tuple(map(float, values[:-1])), float(values[-1]))
+        object.__setattr__(self, "params", params)
 
 
 @dataclass
@@ -90,21 +113,68 @@ class ScenarioEnsemble:
         # Scenario positions keyed by spec identity, not value: hashing a
         # ModelSpec costs microseconds on every criterion call.
         self._positions: dict[tuple[int, ParamPoint], int] = {}
+        rows: dict[int, list[int]] = {}
         for i, s in enumerate(self.scenarios):
             self._base.append(
                 augmented_info_entries(s.spec, s.params, coords, days)
             )
             self._positions.setdefault((id(s.spec), s.params), i)
+            rows.setdefault(id(s.spec), []).append(i)
+        # The scenarios of one model, scored together by ``score``: their
+        # rows, the model, their parameters and their initial blocks.  The
+        # rows are a slice when they are adjacent, as model_ensemble orders
+        # them, because writing to a slice is cheaper than to an index array.
+        self._groups = [
+            (
+                slice(r[0], r[-1] + 1) if r[-1] - r[0] == len(r) - 1 else np.array(r),
+                self.scenarios[r[0]].spec,
+                tuple(self.scenarios[i].params for i in r),
+                np.stack([self._base[i] for i in r])[:, None],
+            )
+            for r in rows.values()
+        ]
 
     def augmented_entries(self, idx: int, new_coords: np.ndarray) -> np.ndarray:
-        """Information of the initial design plus the (m, 4) new day-1 runs;
-        a (k, m, 4) stack of new runs gives a (k, p+1, p+1) stack."""
+        """Information of the initial design plus the (m, 4) new day-1 runs."""
         s = self.scenarios[idx]
         if new_coords.size == 0:
             return self._base[idx]
         days = np.ones(new_coords.shape[:-1])
         add = augmented_info_entries(s.spec, s.params, new_coords, days)
         return self._base[idx] + add
+
+    def score(self, stack: np.ndarray) -> StackScores:
+        """phi_D and phi_D1 of every scenario and every design of a (k, m, 4)
+        stack of new day-1 runs.
+
+        The scenarios of each model are assembled in one call and factored
+        by one Cholesky call, which gives both criteria.  A design outside a
+        scenario's link domain scores 0 for that scenario only.  numpy
+        rejects a stack as a whole, so a model whose stack holds a matrix
+        that is not positive definite is scored one design at a time
+        through phi_D and phi_D1 instead.
+        """
+        k = len(stack)
+        values = np.empty((2, len(self.scenarios), k))
+        ok = np.empty((len(self.scenarios), k), dtype=bool)
+        days = np.ones(stack.shape[:-1])
+        for rows, spec, params, base in self._groups:
+            add, feasible = augmented_info_entries(spec, params, stack, days)
+            entries = base + add
+            n = entries.shape[-1]
+            try:
+                chol, nonsingular = cholesky(entries.reshape(-1, n, n))
+            except np.linalg.LinAlgError:
+                for i in np.arange(len(self.scenarios))[rows]:
+                    s = self.scenarios[i]
+                    values[0, i] = [phi_D(s, runs, self) for runs in stack]
+                    values[1, i] = [phi_D1(s, runs, self) for runs in stack]
+                ok[rows] = True
+                continue
+            values[0, rows] = np.exp(factor_log_det(chol) / n).reshape(-1, k)
+            values[1, rows] = factor_last_pivot_sq(chol).reshape(-1, k)
+            ok[rows] = nonsingular.reshape(-1, k) & feasible
+        return StackScores(*np.where(ok, values, 0.0))
 
     def set_optimal(self, idx: int, d_opt: Design, d1_opt: Design) -> None:
         """Populate the cache from explicit locally optimal designs."""
@@ -169,52 +239,39 @@ def phi_D1(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble) ->
     return inv_quadratic_form(entries)
 
 
-def phi_stack(
-    scenario: Scenario, stack: np.ndarray, ensemble: ScenarioEnsemble, flavor: str
-) -> np.ndarray:
-    """phi_D or phi_D1 of each design in a (k, m, 4) stack of new day-1 runs,
-    from one assembly and one Cholesky call.
-
-    numpy rejects a stack as a whole, so when one design violates the link
-    domain or gives a matrix that is not positive definite, the stack is
-    scored one design at a time through phi_D or phi_D1 instead.
-    """
-    idx = _position(ensemble, scenario)
-    try:
-        chol, ok = cholesky(ensemble.augmented_entries(idx, stack))
-    except (InvalidPredictorError, np.linalg.LinAlgError):
-        phi = phi_D if flavor == "D" else phi_D1
-        return np.array([phi(scenario, runs, ensemble) for runs in stack])
-    if flavor == "D":
-        values = np.exp(factor_log_det(chol) / chol.shape[-1])
-    else:
-        values = factor_last_pivot_sq(chol)
-    return np.where(ok, values, 0.0)
-
-
-def _phi(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble,
-         flavor: str):
-    """phi_D or phi_D1 of one design, or of each design in a (k, m, 4) array."""
+def _scored(ensemble: ScenarioEnsemble, new_runs: NewRuns) -> NewRuns:
+    """A (k, m, 4) stack of designs as the ensemble's StackScores; any other
+    argument as it is."""
     if getattr(new_runs, "ndim", 0) == 3:
-        return phi_stack(scenario, new_runs, ensemble, flavor)
+        return ensemble.score(new_runs)
+    return new_runs
+
+
+def _phi(idx: int, scenario: Scenario, new_runs: NewRuns,
+         ensemble: ScenarioEnsemble, flavor: str):
+    """phi_D or phi_D1 of one design, or the scenario's row of a stack's
+    scores."""
+    new_runs = _scored(ensemble, new_runs)
+    if isinstance(new_runs, StackScores):
+        return getattr(new_runs, flavor)[idx]
     phi = phi_D if flavor == "D" else phi_D1
     return phi(scenario, new_runs, ensemble)
 
 
 def eff_D(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble):
-    """phi_D relative to its cached optimum; a (k, m, 4) array of designs
-    gives k values."""
+    """phi_D relative to its cached optimum; a (k, m, 4) array of designs,
+    or its StackScores, gives k values."""
     idx = _position(ensemble, scenario)
     opt = ensemble.require_cache(idx)
-    return _phi(scenario, new_runs, ensemble, "D") / opt.phi_d_at_d_opt
+    return _phi(idx, scenario, new_runs, ensemble, "D") / opt.phi_d_at_d_opt
 
 
 def eff_D1(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble):
-    """phi_D1 relative to its cached optimum; a (k, m, 4) array of designs
-    gives k values."""
+    """phi_D1 relative to its cached optimum; a (k, m, 4) array of designs,
+    or its StackScores, gives k values."""
     idx = _position(ensemble, scenario)
     opt = ensemble.require_cache(idx)
-    return _phi(scenario, new_runs, ensemble, "D1") / opt.phi_d1_at_d1_opt
+    return _phi(idx, scenario, new_runs, ensemble, "D1") / opt.phi_d1_at_d1_opt
 
 
 def d1_ratio_vs_d_optimum(
@@ -228,10 +285,12 @@ def d1_ratio_vs_d_optimum(
 
 def phi_bayes(ensemble: ScenarioEnsemble, new_runs: NewRuns, flavor: str):
     """Weighted average of per-scenario efficiencies over the ensemble; a
-    (k, m, 4) array of designs gives k values."""
+    (k, m, 4) array of designs, scored once, or its StackScores gives k
+    values."""
     if flavor not in ("D", "D1"):
         raise ValueError("flavor must be 'D' or 'D1'")
     eff = eff_D if flavor == "D" else eff_D1
+    new_runs = _scored(ensemble, new_runs)
     return sum(
         s.weight * eff(s, new_runs, ensemble) for s in ensemble.scenarios
     )
@@ -240,9 +299,11 @@ def phi_bayes(ensemble: ScenarioEnsemble, new_runs: NewRuns, flavor: str):
 def phi_compromise(ensemble: ScenarioEnsemble, new_runs: NewRuns, alpha: float):
     """alpha * Phi_B + (1 - alpha) * Phi_B1; a term with weight 0 is not
     evaluated, so alpha = 1 and alpha = 0 give exactly Phi_B and Phi_B1.
-    A (k, m, 4) array of designs gives k values."""
+    A (k, m, 4) array of designs is scored once, for both averages, and
+    gives k values."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
+    new_runs = _scored(ensemble, new_runs)
     value = 0.0
     if alpha > 0.0:
         value += alpha * phi_bayes(ensemble, new_runs, "D")

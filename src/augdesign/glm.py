@@ -33,13 +33,21 @@ class Link(enum.Enum):
     INVERSE = "inverse"
     LOG = "log"
 
+    def outside_domain(self, eta):
+        """Where the predictors lie outside the link's domain, elementwise:
+        nowhere for the log link, at nonpositive values for identity and
+        inverse (a NaN is not flagged)."""
+        if self is Link.LOG:
+            return np.zeros(np.shape(eta), dtype=bool)
+        return np.asarray(eta) <= 0.0
+
     def _check_domain(self, eta) -> None:
-        """Identity and inverse links need every predictor to be positive."""
-        if np.any(eta <= 0.0):
-            bad = np.atleast_1d(eta)
+        """Raise unless every predictor lies in the link's domain."""
+        bad = self.outside_domain(eta)
+        if bad.any():
             raise InvalidPredictorError(
                 f"{self.value} link requires positive predictors, got "
-                f"{float(bad[bad <= 0.0][0])}"
+                f"{float(np.asarray(eta)[bad].flat[0])}"
             )
 
     def mean(self, eta):

@@ -5,11 +5,13 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .glm import (
     GLOBAL_FACTORS,
+    InvalidPredictorError,
     MissingGammaError,
     ModelSpec,
     ParamPoint,
@@ -112,22 +114,46 @@ def read_csv(
 
 def augmented_info_entries(
     spec: ModelSpec,
-    params: ParamPoint,
+    params: ParamPoint | Sequence[ParamPoint],
     coords: np.ndarray,
     days: np.ndarray,
-) -> np.ndarray:
+):
     """Raw (p+1)x(p+1) information entries for given coordinates and day flags.
 
     A (k, n, 4) stack of coordinates with (k, n) day flags gives the k
-    matrices as one (k, p+1, p+1) stack.
+    matrices as one (k, p+1, p+1) stack; a predictor outside the link
+    domain raises ``InvalidPredictorError``.
+
+    A sequence of S parameter points of the model adds a leading scenario
+    axis and raises nothing: the result is the (S, k, p+1, p+1) stack with
+    an (S, k) mask of the matrices whose predictors all lie in the link
+    domain, or True when all of them do.  A run outside it is weighted at
+    the placeholder predictor 1, so a masked matrix is finite but means
+    nothing.
     """
     Z = regressor_matrix(spec, coords.reshape(-1, len(GLOBAL_FACTORS)))
     Z = Z.reshape(*coords.shape[:-1], spec.p)
-    beta = np.asarray(params.beta)
-    eta = Z @ beta + days * params.gamma
-    w = spec.link.weight(eta)
-    Zs = np.concatenate([Z, days[..., None].astype(float)], axis=-1)
-    return np.swapaxes(Zs * w[..., None], -1, -2) @ Zs
+    Zs = np.concatenate([Z, days[..., None].astype(float, copy=False)], axis=-1)
+    if isinstance(params, ParamPoint):
+        eta = Z @ np.asarray(params.beta) + days * params.gamma
+        w = spec.link.weight(eta)
+        return (Zs * w[..., None]).swapaxes(-1, -2) @ Zs
+    # Scenarios that differ only in gamma, as a day-effect prior gives, take
+    # one matrix-vector product, which rounds like the one-scenario path.
+    if len({q.beta for q in params}) == 1:
+        zb = Z @ np.asarray(params[0].beta)
+    else:
+        zb = np.moveaxis(Z @ np.array([q.beta for q in params]).T, -1, 0)
+    gamma = np.array([q.gamma for q in params]).reshape(-1, *(1,) * days.ndim)
+    eta = zb + days * gamma
+    try:
+        w = spec.link.weight(eta)
+        inside = True
+    except InvalidPredictorError:
+        outside = spec.link.outside_domain(eta)
+        w = spec.link.weight(np.where(outside, 1.0, eta))
+        inside = ~outside.any(axis=-1)
+    return (Zs * w[..., None]).swapaxes(-1, -2) @ Zs, inside
 
 
 def fisher_info(
@@ -160,9 +186,9 @@ def _nonsingular(a: np.ndarray, chol: np.ndarray):
     """Whether each factor passes the singularity test, over the last two
     axes: every squared pivot is at least SINGULAR_TOL times the largest
     diagonal entry of the matrix.  A NaN pivot or scale fails it."""
-    scale = np.max(np.diagonal(a, axis1=-2, axis2=-1), axis=-1)
-    piv = np.diagonal(chol, axis1=-2, axis2=-1)
-    return (scale > 0.0) & (np.min(piv * piv, axis=-1) >= SINGULAR_TOL * scale)
+    scale = a.diagonal(0, -2, -1).max(-1)
+    piv = chol.diagonal(0, -2, -1)
+    return (scale > 0.0) & ((piv * piv).min(-1) >= SINGULAR_TOL * scale)
 
 
 def cholesky(a: np.ndarray):
@@ -187,7 +213,7 @@ def cholesky(a: np.ndarray):
 
 def factor_log_det(chol: np.ndarray):
     """log det(L L^T) = 2 sum log diag L, over the last two axes of ``chol``."""
-    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return 2.0 * np.log(chol.diagonal(0, -2, -1)).sum(-1)
 
 
 def factor_last_pivot_sq(chol: np.ndarray):

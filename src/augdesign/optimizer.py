@@ -8,7 +8,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .criteria import Scenario, ScenarioEnsemble, phi_compromise, phi_stack
+from .criteria import Scenario, ScenarioEnsemble, phi_compromise
 from .data import PUBLISHED_DESIGNS
 from .glm import COORD_MAX, COORD_MIN, GLOBAL_FACTORS as COORD_NAMES, Link
 from .information import Design
@@ -194,7 +194,7 @@ def solve_local(
     indices = scenario.spec.global_indices
 
     def objective(fragments: np.ndarray) -> np.ndarray:
-        return phi_stack(scenario, _expand(fragments, indices), ensemble, flavor)
+        return getattr(ensemble.score(_expand(fragments, indices)), flavor)[0]
 
     return _search(objective, m, indices, config)
 

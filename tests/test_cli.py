@@ -443,6 +443,40 @@ def test_non_finite_parameter_is_parse_error_naming_the_model(
     assert "model 'temperature' has a non-finite" in err
 
 
+BETA = list(data.ESTIMATES["temperature"].beta)
+NOT_A_NUMBER = (
+    "model 'temperature' has a coefficient or day effect that is not a number"
+)
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("beta", [BETA[0], "abc", *BETA[2:]], NOT_A_NUMBER),
+        ("beta", [BETA[0], None, *BETA[2:]], NOT_A_NUMBER),
+        ("gamma", "abc", NOT_A_NUMBER),
+        ("model", "temperature", 'scenario.json: a scenario needs a "model" object'),
+        ("beta", 5.0, 'scenario.json: a scenario needs a "beta" list'),
+    ],
+    ids=["beta-string", "beta-null", "gamma-string", "model-string", "beta-number"],
+)
+def test_malformed_scenario_is_parse_error(capsys, tmp_path, field, value, named):
+    d = {
+        "model": data.MODELS["temperature"].to_dict(),
+        "beta": BETA,
+        "gamma": data.ESTIMATES["temperature"].gamma,
+    }
+    d[field] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(d))
+    code, _, err = run_cli(
+        capsys, "design", "--criterion", "D", "--models", str(path),
+        *TINY_SEARCH,
+    )
+    assert code == EXIT_PARSE
+    assert named in err
+
+
 def test_bad_design_cell_is_parse_error_naming_the_line(capsys, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("run,L,K,D,FDV,day\n1,0,0,0,0,1\n2,0,x,0,0,1\n")

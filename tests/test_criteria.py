@@ -266,10 +266,14 @@ def _low_intercept_temperature():
 
 
 def _stack_ensemble():
-    """All twenty pm10pm20 scenarios plus the low-intercept one, with the
-    bundled local optima cached."""
+    """All twenty pm10pm20 scenarios plus the low-intercept one and a
+    flame-width scenario with its coefficients scaled by 1.3, with the
+    bundled local optima cached.  pm10pm20 shares beta within each model;
+    the two extra scenarios give the temperature and flame-width models
+    scenarios with different beta."""
     ens = ScenarioEnsemble(
-        [*PM10PM20.scenarios, _low_intercept_temperature()],
+        [*PM10PM20.scenarios, scaled_scenario("flame_width", 1.3),
+         _low_intercept_temperature()],
         data.initial_design(), 4,
     )
     for i, s in enumerate(ens.scenarios):
@@ -299,6 +303,22 @@ def assert_same_as_scalar(stacked, scalar):
     np.testing.assert_allclose(stacked, scalar, rtol=1e-12, atol=0.0)
 
 
+def count_scalar_calls(monkeypatch):
+    """Record (function, model) for every phi_D and phi_D1 call the
+    criteria module makes."""
+    calls = []
+
+    def counted(phi):
+        def wrapper(scenario, *args):
+            calls.append((phi.__name__, scenario.spec.name))
+            return phi(scenario, *args)
+        return wrapper
+
+    monkeypatch.setattr(criteria, "phi_D", counted(phi_D))
+    monkeypatch.setattr(criteria, "phi_D1", counted(phi_D1))
+    return calls
+
+
 class TestStacked:
     """A (k, m, 4) stack of designs against the scalar path, design by design."""
 
@@ -307,6 +327,13 @@ class TestStacked:
     @example(stack=CORNER_STACK)
     def test_stack_matches_scalar_calls(self, stack):
         ens = STACK_ENSEMBLE
+        for name in ("temperature", "flame_width"):
+            betas = {s.params.beta for s in ens.scenarios if s.spec.name == name}
+            assert len(betas) == 2
+        scores = ens.score(stack)
+        for i, s in enumerate(ens.scenarios):
+            assert_same_as_scalar(scores.D[i], [phi_D(s, d, ens) for d in stack])
+            assert_same_as_scalar(scores.D1[i], [phi_D1(s, d, ens) for d in stack])
         for s in ens.scenarios:
             for eff in (eff_D, eff_D1):
                 assert_same_as_scalar(
@@ -338,19 +365,63 @@ class TestStacked:
         s = Scenario(data.MODELS["temperature"], ParamPoint(base.beta, 1e9))
         ens = ScenarioEnsemble([s], data.initial_design(), 4)
         s = ens.scenarios[0]
-        got = criteria.phi_stack(s, CORNER_STACK, ens, flavor)
+        got = getattr(ens.score(CORNER_STACK), flavor)[0]
         assert_same_as_scalar(got, [phi(s, d, ens) for d in CORNER_STACK])
         assert np.all(got == 0.0)
 
     def test_stack_of_one_is_the_scalar_value(self):
         design = data.REFERENCE_DESIGN.coords
-        for s in STACK_ENSEMBLE.scenarios:
+        scores = STACK_ENSEMBLE.score(design[None])
+        for i, s in enumerate(STACK_ENSEMBLE.scenarios):
             for flavor, phi in (("D", phi_D), ("D1", phi_D1)):
-                got = criteria.phi_stack(s, design[None], STACK_ENSEMBLE, flavor)
+                got = getattr(scores, flavor)[i]
                 assert got.shape == (1,)
                 assert got[0] == pytest.approx(
                     phi(s, design, STACK_ENSEMBLE), rel=1e-12
                 )
+
+    def test_domain_violation_zeroes_only_its_scenario(self, monkeypatch):
+        ens = STACK_ENSEMBLE
+        low = ens.scenarios.index(LOW)
+        expect = [
+            [[phi(s, d, ens) for d in CORNER_STACK] for s in ens.scenarios]
+            for phi in (phi_D, phi_D1)
+        ]
+        calls = count_scalar_calls(monkeypatch)
+        scores = ens.score(CORNER_STACK)
+        assert calls == []
+        for got, want in zip(scores, expect):
+            assert_same_as_scalar(got, want)
+            # Every other scenario scores every corner design.
+            assert np.any(got[low] == 0.0)
+            assert np.all(np.delete(got, low, axis=0) > 0.0)
+
+    def test_failed_factorization_sends_only_its_model_to_the_scalar_path(
+        self, monkeypatch
+    ):
+        # A day-1 predictor of 1e-6 at the centre weights its runs by 1e12:
+        # the matrix is positive definite, but numpy's Cholesky rejects it.
+        base = data.ESTIMATES["temperature"]
+        near_zero = Scenario(
+            data.MODELS["temperature"],
+            ParamPoint(base.beta, 1e-6 - base.beta[0]),
+        )
+        velocity = Scenario(data.MODELS["velocity"], data.ESTIMATES["velocity"])
+        ens = ScenarioEnsemble([near_zero, velocity], data.initial_design(), 4)
+        stack = np.concatenate([np.zeros((1, 4, 4)), CORNER_STACK])
+        expect = [
+            [[phi(s, d, ens) for d in stack] for s in ens.scenarios]
+            for phi in (phi_D, phi_D1)
+        ]
+        calls = count_scalar_calls(monkeypatch)
+        scores = ens.score(stack)
+        assert sorted(set(calls)) == [
+            ("phi_D", "temperature"), ("phi_D1", "temperature")
+        ]
+        assert len(calls) == 2 * len(stack)
+        for got, want in zip(scores, expect):
+            assert_same_as_scalar(got, want)
+            assert got[0, 0] == 0.0 and np.all(got[1] > 0.0)
 
 
 _AFFINE_CACHE = []

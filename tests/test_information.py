@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from augdesign import (
     Design,
@@ -12,7 +14,7 @@ from augdesign import (
     log_det,
 )
 from augdesign import data
-from augdesign.information import MINUS_INF, cholesky
+from augdesign.information import MINUS_INF, SINGULAR_TOL, _nonsingular, cholesky
 from mp_oracle import mp_info
 
 
@@ -119,6 +121,38 @@ def test_stacked_cholesky_matches_one_matrix_at_a_time():
             assert np.array_equal(factor, cholesky(a))
         else:
             assert cholesky(a) is None
+
+
+def reference_nonsingular(a, chol):
+    """The singularity rule as first written: every squared pivot at least
+    SINGULAR_TOL times the largest diagonal entry, which must be positive."""
+    scale = np.max(np.diagonal(a, axis1=-2, axis2=-1), axis=-1)
+    piv = np.diagonal(chol, axis1=-2, axis2=-1)
+    return (scale > 0.0) & (np.min(piv * piv, axis=-1) >= SINGULAR_TOL * scale)
+
+
+entry = st.one_of(
+    st.sampled_from([0.0, np.nan, 1.0, 1e-6, 1e-7, -1.0]),
+    st.floats(-1e3, 1e3),
+)
+matrix_stacks = st.tuples(st.integers(1, 6), st.integers(1, 5)).flatmap(
+    lambda kn: st.tuples(
+        arrays(np.float64, (kn[0], kn[1], kn[1]), elements=entry),
+        arrays(np.float64, (kn[0], kn[1], kn[1]), elements=entry),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=matrix_stacks)
+@example(pair=(np.zeros((2, 3, 3)), np.eye(3)[None].repeat(2, axis=0)))
+@example(pair=(np.full((1, 3, 3), np.nan), np.eye(3)[None]))
+@example(pair=(np.eye(3)[None], np.diag([1.0, np.nan, 1.0])[None]))
+def test_singularity_mask_matches_its_formula(pair):
+    a, chol = pair
+    assert np.array_equal(_nonsingular(a, chol), reference_nonsingular(a, chol))
+    for one, factor in zip(a, chol):
+        assert _nonsingular(one, factor) == reference_nonsingular(one, factor)
 
 
 def test_stacked_cholesky_rejects_a_stack_with_an_indefinite_matrix():
