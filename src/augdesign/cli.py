@@ -145,7 +145,10 @@ def cmd_fit(args) -> int:
     else:
         if not args.model or not args.response:
             raise UsageError("--model and --response are required without --bundled")
-        spec = ModelSpec.from_dict(json.loads(_read(args.model)))
+        try:
+            spec = ModelSpec.from_dict(json.loads(_read(args.model)))
+        except ValueError as exc:
+            raise ValueError(f"{args.model}: {exc}") from exc
         response = args.response
     if args.link:
         spec = ModelSpec(spec.name, Link(args.link), spec.factors, spec.terms)

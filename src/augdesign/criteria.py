@@ -23,7 +23,8 @@ from .information import (
 
 class StackScores(NamedTuple):
     """phi_D and phi_D1 of k designs under each of an ensemble's S scenarios,
-    as two (S, k) arrays in scenario order (``ScenarioEnsemble.score``).
+    as two (S, k) arrays in scenario order (``ScenarioEnsemble.score``), or
+    of one design as two (S,) arrays (``ScenarioEnsemble.score_design``).
 
     The criteria take it in place of the (k, m, 4) stack it scores and read
     their scenario's row, so a stack is assembled and factored once however
@@ -107,6 +108,9 @@ class ScenarioEnsemble:
         self.initial_design = initial_design
         self.m = m
         self.cache: dict[int, OptimalValues] = {}
+        # The last single design scored: the Design itself (None for an
+        # array), a private copy of its day-1 coordinates, and its scores.
+        self._kept: tuple = (None, None, None)
         coords = initial_design.coords
         days = np.zeros(len(initial_design))
         self._base = []
@@ -176,6 +180,27 @@ class ScenarioEnsemble:
             ok[rows] = nonsingular.reshape(-1, k) & feasible
         return StackScores(*np.where(ok, values, 0.0))
 
+    def score_design(self, new_runs: NewRuns) -> StackScores:
+        """phi_D and phi_D1 of one design of new day-1 runs (a Design, an
+        (m, 4) array or None) under every scenario, as two (S,) arrays.
+
+        The design is scored by ``score`` as a stack of one and kept with
+        its scores until a different design is scored, so its per-scenario
+        efficiencies and averages cost one assembly and one Cholesky per
+        model.  A Design is immutable and is matched by identity first;
+        otherwise the day-1 coordinates must be equal bit for bit.
+        """
+        design, coords, scores = self._kept
+        if new_runs is design and design is not None:
+            return scores
+        new = _new_coords(new_runs)
+        if coords is None or new.tobytes() != coords.tobytes():
+            coords = new.copy()
+            scores = StackScores(*(v[:, 0] for v in self.score(coords[None])))
+        self._kept = (new_runs if isinstance(new_runs, Design) else None,
+                      coords, scores)
+        return scores
+
     def set_optimal(self, idx: int, d_opt: Design, d1_opt: Design) -> None:
         """Populate the cache from explicit locally optimal designs."""
         s = self.scenarios[idx]
@@ -207,7 +232,7 @@ def _new_coords(new_runs: NewRuns) -> np.ndarray:
     if isinstance(new_runs, Design):
         if any(r.day != 1 for r in new_runs.runs):
             raise ValueError("new runs must all carry day=1")
-        return new_runs.coords
+        return new_runs.coords.astype(float, copy=False)
     arr = np.asarray(new_runs, dtype=float)
     if arr.ndim > 2:
         raise ValueError(
@@ -239,39 +264,33 @@ def phi_D1(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble) ->
     return inv_quadratic_form(entries)
 
 
-def _scored(ensemble: ScenarioEnsemble, new_runs: NewRuns) -> NewRuns:
-    """A (k, m, 4) stack of designs as the ensemble's StackScores; any other
-    argument as it is."""
+def _scored(ensemble: ScenarioEnsemble, new_runs: NewRuns) -> StackScores:
+    """The scores of ``new_runs`` under every scenario: a StackScores as it
+    is, a (k, m, 4) stack of designs scored once into (S, k) rows, and one
+    design as the ensemble's kept (S,) rows (``score_design``)."""
+    if isinstance(new_runs, StackScores):
+        return new_runs
     if getattr(new_runs, "ndim", 0) == 3:
         return ensemble.score(new_runs)
-    return new_runs
-
-
-def _phi(idx: int, scenario: Scenario, new_runs: NewRuns,
-         ensemble: ScenarioEnsemble, flavor: str):
-    """phi_D or phi_D1 of one design, or the scenario's row of a stack's
-    scores."""
-    new_runs = _scored(ensemble, new_runs)
-    if isinstance(new_runs, StackScores):
-        return getattr(new_runs, flavor)[idx]
-    phi = phi_D if flavor == "D" else phi_D1
-    return phi(scenario, new_runs, ensemble)
+    return ensemble.score_design(new_runs)
 
 
 def eff_D(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble):
-    """phi_D relative to its cached optimum; a (k, m, 4) array of designs,
-    or its StackScores, gives k values."""
+    """phi_D relative to its cached optimum, read from the scenario's row of
+    the design's scores: one design gives one value, and a (k, m, 4) array
+    of designs, or its StackScores, gives k values."""
     idx = _position(ensemble, scenario)
     opt = ensemble.require_cache(idx)
-    return _phi(idx, scenario, new_runs, ensemble, "D") / opt.phi_d_at_d_opt
+    return _scored(ensemble, new_runs).D[idx] / opt.phi_d_at_d_opt
 
 
 def eff_D1(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble):
-    """phi_D1 relative to its cached optimum; a (k, m, 4) array of designs,
-    or its StackScores, gives k values."""
+    """phi_D1 relative to its cached optimum, read from the scenario's row of
+    the design's scores: one design gives one value, and a (k, m, 4) array
+    of designs, or its StackScores, gives k values."""
     idx = _position(ensemble, scenario)
     opt = ensemble.require_cache(idx)
-    return _phi(idx, scenario, new_runs, ensemble, "D1") / opt.phi_d1_at_d1_opt
+    return _scored(ensemble, new_runs).D1[idx] / opt.phi_d1_at_d1_opt
 
 
 def d1_ratio_vs_d_optimum(
@@ -284,8 +303,9 @@ def d1_ratio_vs_d_optimum(
 
 
 def phi_bayes(ensemble: ScenarioEnsemble, new_runs: NewRuns, flavor: str):
-    """Weighted average of per-scenario efficiencies over the ensemble; a
-    (k, m, 4) array of designs, scored once, or its StackScores gives k
+    """Weighted average of per-scenario efficiencies over the ensemble.  The
+    design is scored against every scenario once: one design gives one
+    value, and a (k, m, 4) array of designs, or its StackScores, gives k
     values."""
     if flavor not in ("D", "D1"):
         raise ValueError("flavor must be 'D' or 'D1'")
@@ -299,8 +319,8 @@ def phi_bayes(ensemble: ScenarioEnsemble, new_runs: NewRuns, flavor: str):
 def phi_compromise(ensemble: ScenarioEnsemble, new_runs: NewRuns, alpha: float):
     """alpha * Phi_B + (1 - alpha) * Phi_B1; a term with weight 0 is not
     evaluated, so alpha = 1 and alpha = 0 give exactly Phi_B and Phi_B1.
-    A (k, m, 4) array of designs is scored once, for both averages, and
-    gives k values."""
+    One design, or a (k, m, 4) array of designs, is scored once for both
+    averages; the array gives k values."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     new_runs = _scored(ensemble, new_runs)

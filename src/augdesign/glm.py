@@ -177,19 +177,32 @@ class ModelSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelSpec":
+        """The spec of ``to_dict``.  A value of the wrong JSON type (not an
+        object, ``factors`` or ``terms`` not a list, a term not a non-empty
+        list) is a ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError("a model must be a JSON object")
+        for key in ("factors", "terms"):
+            if not isinstance(d.get(key), list):
+                raise ValueError(f'a model needs a "{key}" list')
         factors = tuple(d["factors"])
 
         def parse(item: list) -> Term:
-            kind = item[0]
-            if kind == "intercept":
+            if not isinstance(item, list) or not item:
+                raise ValueError(f"a model term must be a non-empty list, got {item!r}")
+            kind, *names = item
+            if not all(n in factors for n in names):
+                raise ValueError(f"term {item!r} names a factor outside {list(factors)}")
+            index = [factors.index(n) for n in names]
+            if kind == "intercept" and not index:
                 return Term.intercept()
-            if kind == "main":
-                return Term.main(factors.index(item[1]))
-            if kind == "square":
-                return Term.square(factors.index(item[1]))
-            if kind == "interaction":
-                return Term.interaction(factors.index(item[1]), factors.index(item[2]))
-            raise ValueError(f"unknown term kind {kind!r}")
+            if kind == "main" and len(index) == 1:
+                return Term.main(*index)
+            if kind == "square" and len(index) == 1:
+                return Term.square(*index)
+            if kind == "interaction" and len(index) == 2:
+                return Term.interaction(*index)
+            raise ValueError(f"{item!r} is not a model term")
 
         return ModelSpec(
             name=d["name"],

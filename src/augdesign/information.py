@@ -138,12 +138,17 @@ def augmented_info_entries(
         eta = Z @ np.asarray(params.beta) + days * params.gamma
         w = spec.link.weight(eta)
         return (Zs * w[..., None]).swapaxes(-1, -2) @ Zs
-    # Scenarios that differ only in gamma, as a day-effect prior gives, take
-    # one matrix-vector product, which rounds like the one-scenario path.
-    if len({q.beta for q in params}) == 1:
+    # One matrix-vector product per distinct beta rounds like the
+    # one-scenario path.  A Z·B product rounds otherwise, and a predictor
+    # near 0 turns that last bit into a visible change of its 1/eta^2 weight.
+    # Scenarios that differ only in gamma, as a day-effect prior gives, share
+    # one product without stacking copies of it.
+    betas = {q.beta for q in params}
+    if len(betas) == 1:
         zb = Z @ np.asarray(params[0].beta)
     else:
-        zb = np.moveaxis(Z @ np.array([q.beta for q in params]).T, -1, 0)
+        zb = {b: Z @ np.asarray(b) for b in betas}
+        zb = np.stack([zb[q.beta] for q in params])
     gamma = np.array([q.gamma for q in params]).reshape(-1, *(1,) * days.ndim)
     eta = zb + days * gamma
     try:

@@ -142,6 +142,33 @@ class TestFitCommand:
         assert code == EXIT_USAGE
 
 
+TEMPERATURE_MODEL = data.MODELS["temperature"].to_dict()
+
+
+@pytest.mark.parametrize(
+    "model, named",
+    [
+        ("temperature", "a model must be a JSON object"),
+        ({**TEMPERATURE_MODEL, "factors": 4}, 'a model needs a "factors" list'),
+        ({**TEMPERATURE_MODEL, "terms": 5}, 'a model needs a "terms" list'),
+        ({**TEMPERATURE_MODEL, "terms": [["intercept"], 7]},
+         "a model term must be a non-empty list, got 7"),
+        ({**TEMPERATURE_MODEL, "terms": [["intercept"], ["main"]]},
+         "['main'] is not a model term"),
+    ],
+    ids=["not-an-object", "factors-number", "terms-number", "term-number",
+         "term-without-factor"],
+)
+def test_malformed_model_file_is_parse_error(capsys, tmp_path, model, named):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(model))
+    code, _, err = run_cli(
+        capsys, "fit", "--model", str(path), "--response", "temperature"
+    )
+    assert code == EXIT_PARSE
+    assert f"{path}: {named}" in err
+
+
 class TestDesignCommand:
     def test_m_zero_warns(self, capsys):
         code, stdout, _ = run_cli(

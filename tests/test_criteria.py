@@ -290,6 +290,11 @@ CORNER_STACK = np.concatenate([
     np.array(list(itertools.product([-2.0, 2.0], repeat=4))).reshape(4, 4, 4),
     data.REFERENCE_DESIGN.coords[None],
 ])
+# A design whose day-1 predictor under LOW is a small difference of large
+# terms: one Z·B product over the model's distinct coefficient vectors
+# rounds it unlike the one-scenario Z·beta, and phi_D moves by 1e-11.
+NEAR_ZERO_PREDICTOR_STACK = np.full((1, 4, 4), 0.8828125)
+NEAR_ZERO_PREDICTOR_STACK[0, 0, 1] = -2.0
 coordinate = st.one_of(st.sampled_from([-2.0, 2.0]), st.floats(-2, 2))
 stack_strategy = st.integers(1, 30).flatmap(
     lambda k: arrays(np.float64, (k, 4, 4), elements=coordinate)
@@ -301,6 +306,43 @@ def assert_same_as_scalar(stacked, scalar):
     assert stacked.shape == scalar.shape
     assert np.array_equal(stacked == 0.0, scalar == 0.0)
     np.testing.assert_allclose(stacked, scalar, rtol=1e-12, atol=0.0)
+
+
+def scalar_criteria(ens, designs):
+    """eff_D and eff_D1 as (S, k) arrays, and the two Bayesian averages as
+    length-k arrays, of k designs from the scalar phi_D and phi_D1 and the
+    cached optima."""
+    effs = {
+        flavor: np.array([
+            [phi(s, d, ens) / getattr(ens.cache[i], opt) for d in designs]
+            for i, s in enumerate(ens.scenarios)
+        ])
+        for flavor, phi, opt in (("D", phi_D, "phi_d_at_d_opt"),
+                                 ("D1", phi_D1, "phi_d1_at_d1_opt"))
+    }
+    bayes = {
+        flavor: sum(s.weight * row for s, row in zip(ens.scenarios, eff))
+        for flavor, eff in effs.items()
+    }
+    return effs, bayes
+
+
+def assert_criteria_are_scalar(ens, new_runs, expected, column=slice(None)):
+    """eff_D, eff_D1, phi_bayes and phi_compromise of ``new_runs`` against
+    ``column`` of the scalar values from ``scalar_criteria``."""
+    effs, bayes = expected
+    for i, s in enumerate(ens.scenarios):
+        assert_same_as_scalar(eff_D(s, new_runs, ens), effs["D"][i, column])
+        assert_same_as_scalar(eff_D1(s, new_runs, ens), effs["D1"][i, column])
+    for flavor in ("D", "D1"):
+        assert_same_as_scalar(
+            phi_bayes(ens, new_runs, flavor), bayes[flavor][column]
+        )
+    for alpha in (0.0, 0.5, 1.0):
+        assert_same_as_scalar(
+            phi_compromise(ens, new_runs, alpha),
+            alpha * bayes["D"][column] + (1 - alpha) * bayes["D1"][column],
+        )
 
 
 def count_scalar_calls(monkeypatch):
@@ -325,6 +367,7 @@ class TestStacked:
     @settings(max_examples=15, deadline=None)
     @given(stack=stack_strategy)
     @example(stack=CORNER_STACK)
+    @example(stack=NEAR_ZERO_PREDICTOR_STACK)
     def test_stack_matches_scalar_calls(self, stack):
         ens = STACK_ENSEMBLE
         for name in ("temperature", "flame_width"):
@@ -334,28 +377,17 @@ class TestStacked:
         for i, s in enumerate(ens.scenarios):
             assert_same_as_scalar(scores.D[i], [phi_D(s, d, ens) for d in stack])
             assert_same_as_scalar(scores.D1[i], [phi_D1(s, d, ens) for d in stack])
-        for s in ens.scenarios:
-            for eff in (eff_D, eff_D1):
-                assert_same_as_scalar(
-                    eff(s, stack, ens), [eff(s, d, ens) for d in stack]
-                )
-        for flavor in ("D", "D1"):
-            assert_same_as_scalar(
-                phi_bayes(ens, stack, flavor),
-                [phi_bayes(ens, d, flavor) for d in stack],
-            )
-        for alpha in (0.0, 0.5, 1.0):
-            assert_same_as_scalar(
-                phi_compromise(ens, stack, alpha),
-                [phi_compromise(ens, d, alpha) for d in stack],
-            )
+        assert_criteria_are_scalar(ens, stack, scalar_criteria(ens, stack))
 
     def test_infeasible_design_scores_zero_in_a_stack(self):
         ens = STACK_ENSEMBLE
         values = eff_D(LOW, CORNER_STACK, ens)
         assert values[-1] > 0.0
         assert np.any(values[:-1] == 0.0)
-        assert_same_as_scalar(values, [eff_D(LOW, d, ens) for d in CORNER_STACK])
+        opt = ens.cache[ens.scenarios.index(LOW)].phi_d_at_d_opt
+        assert_same_as_scalar(
+            values, [phi_D(LOW, d, ens) / opt for d in CORNER_STACK]
+        )
 
     @pytest.mark.parametrize("flavor, phi", [("D", phi_D), ("D1", phi_D1)])
     def test_singular_matrix_scores_zero_in_a_stack(self, flavor, phi):
@@ -422,6 +454,99 @@ class TestStacked:
         for got, want in zip(scores, expect):
             assert_same_as_scalar(got, want)
             assert got[0, 0] == 0.0 and np.all(got[1] > 0.0)
+
+
+# Up to three designs, box corners among them, and a sequence of calls that
+# each pass one of them as a fresh Design, the pool's own Design object, a
+# copy of its array or the pool's own array.
+design_pool = st.lists(
+    st.one_of(
+        arrays(np.float64, (4, 4), elements=coordinate),
+        st.sampled_from(list(CORNER_STACK)),
+    ),
+    min_size=1, max_size=3,
+)
+design_forms = ("new Design", "same Design", "new array", "same array")
+
+
+class TestKeptDesign:
+    """One design scored against every scenario once, and its kept scores."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        pool=design_pool,
+        calls=st.lists(
+            st.tuples(st.integers(0, 2), st.sampled_from(design_forms)),
+            min_size=1, max_size=6,
+        ),
+    )
+    def test_sequence_of_designs_matches_scalar_calls(self, pool, calls):
+        ens = STACK_ENSEMBLE
+        expected = scalar_criteria(ens, pool)
+        designs = [Design.from_coords(c, day=1) for c in pool]
+        for j, form in calls:
+            j %= len(pool)
+            new_runs = {
+                "new Design": lambda: Design.from_coords(pool[j], day=1),
+                "same Design": lambda: designs[j],
+                "new array": lambda: pool[j].copy(),
+                "same array": lambda: pool[j],
+            }[form]()
+            assert_criteria_are_scalar(ens, new_runs, expected, j)
+
+    def test_array_changed_in_place_is_scored_again(self):
+        ens = STACK_ENSEMBLE
+        s = ens.scenarios[0]
+        opt = ens.cache[0].phi_d_at_d_opt
+        runs = data.REFERENCE_DESIGN.coords
+        before = eff_D(s, runs, ens)
+        runs[0] = [2.0, -2.0, 2.0, -2.0]
+        after = eff_D(s, runs, ens)
+        assert after != before
+        assert after == pytest.approx(phi_D(s, runs, ens) / opt, rel=1e-12)
+
+    def test_day_zero_design_with_the_kept_coordinates_rejected(self):
+        ens = STACK_ENSEMBLE
+        s = ens.scenarios[0]
+        coords = data.REFERENCE_DESIGN.coords
+        kept = eff_D(s, Design.from_coords(coords, day=1), ens)
+        with pytest.raises(ValueError, match="day=1"):
+            eff_D(s, Design.from_coords(coords, day=0), ens)
+        assert eff_D(s, coords, ens) == kept
+
+    @pytest.mark.parametrize("form", ["Design", "array"])
+    def test_full_table_scores_the_design_once(self, monkeypatch, form):
+        ens = data.model_ensemble("pm10")
+        for i, s in enumerate(ens.scenarios):
+            ens.set_optimal(
+                i, data.LOCAL_D_OPTIMAL[s.spec.name],
+                data.LOCAL_D1_OPTIMAL[s.spec.name],
+            )
+        new_runs = data.BAYES_D_FIXED.coords
+        if form == "Design":
+            new_runs = Design.from_coords(new_runs, day=1)
+        calls = []
+        score, new_coords = ScenarioEnsemble.score, criteria._new_coords
+
+        def counted_score(self, stack):
+            calls.append("score")
+            return score(self, stack)
+
+        def counted_new_coords(new_runs):
+            calls.append("coords")
+            return new_coords(new_runs)
+
+        monkeypatch.setattr(ScenarioEnsemble, "score", counted_score)
+        monkeypatch.setattr(criteria, "_new_coords", counted_new_coords)
+        for s in ens.scenarios:
+            eff_D(s, new_runs, ens)
+            eff_D1(s, new_runs, ens)
+        phi_bayes(ens, new_runs, "D")
+        phi_bayes(ens, new_runs, "D1")
+        assert calls.count("score") == 1
+        # A repeated Design is matched by identity; an array is compared.
+        S = len(ens.scenarios)
+        assert calls.count("coords") == (1 if form == "Design" else 2 * S + 2)
 
 
 _AFFINE_CACHE = []
