@@ -79,6 +79,15 @@ def _write(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
+def _parse_json(path: str, parse):
+    """``parse`` applied to a file's JSON value; a ValueError names the file."""
+    text = _read(path)
+    try:
+        return parse(json.loads(text))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _new_runs(path: str) -> Design:
     """A design file of new runs, which must all carry day=1."""
     design = Design.from_csv(_read(path))
@@ -106,11 +115,14 @@ def _scenario_from_arg(value: str) -> Scenario:
     {"model": ..., "beta": [...], "gamma": ...}."""
     if value in data.RESPONSES:
         return Scenario(data.MODELS[value], data.ESTIMATES[value], 1.0)
-    d = json.loads(_read(value))
+    return _parse_json(value, _scenario_from_dict)
+
+
+def _scenario_from_dict(d) -> Scenario:
     if not isinstance(d, dict) or not isinstance(d.get("model"), dict):
-        raise ValueError(f"{value}: a scenario needs a \"model\" object")
+        raise ValueError("a scenario needs a \"model\" object")
     if not isinstance(d.get("beta"), list):
-        raise ValueError(f"{value}: a scenario needs a \"beta\" list")
+        raise ValueError("a scenario needs a \"beta\" list")
     return Scenario(
         ModelSpec.from_dict(d["model"]),
         ParamPoint(tuple(d["beta"]), d.get("gamma")),
@@ -145,10 +157,7 @@ def cmd_fit(args) -> int:
     else:
         if not args.model or not args.response:
             raise UsageError("--model and --response are required without --bundled")
-        try:
-            spec = ModelSpec.from_dict(json.loads(_read(args.model)))
-        except ValueError as exc:
-            raise ValueError(f"{args.model}: {exc}") from exc
+        spec = _parse_json(args.model, ModelSpec.from_dict)
         response = args.response
     if args.link:
         spec = ModelSpec(spec.name, Link(args.link), spec.factors, spec.terms)
@@ -275,7 +284,7 @@ def cmd_efficiency(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model = FittedModel.from_json(_read(args.model))
+    model = _parse_json(args.model, FittedModel.from_dict)
     dataset = Dataset.from_csv(_read(args.data)) if args.data else data.validation_dataset()
     response = args.response or model.spec.name
     _check_response(dataset, response)

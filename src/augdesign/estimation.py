@@ -1,18 +1,22 @@
 """Gamma GLM fitting: Fisher scoring for the coefficients, profile maximum
 likelihood for the shape parameter, standard errors, BIC, and prediction
-summaries."""
+summaries.
+
+scipy is imported only inside ``fit`` and ``gamma_log_likelihood``, on their
+first call.  ``import augdesign`` and the ``design``, ``efficiency`` and
+``predict`` commands need numpy alone, so their cold start does not pay for
+scipy's import.
+"""
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.optimize import minimize_scalar
-from scipy.special import gammaln
 
 from .glm import (
     InvalidPredictorError,
@@ -29,6 +33,11 @@ MAX_SCORING_ITERATIONS = 100
 MAX_STEP_HALVINGS = 30
 
 METRICS = ("mse", "rmse", "mae")
+
+FITTED_MODEL_KEYS = (
+    "model", "beta_hat", "gamma_hat", "nu_hat", "std_errors", "covariance",
+    "log_likelihood", "bic", "n",
+)
 
 
 class DivergenceError(RuntimeError):
@@ -93,6 +102,10 @@ class Dataset(Design):
         return Dataset(runs, responses)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class FittedModel:
     """A fitted Gamma GLM plus its uncertainty summaries.
@@ -134,9 +147,30 @@ class FittedModel:
 
     @staticmethod
     def from_dict(d: dict) -> "FittedModel":
+        """The fit of ``to_dict``.  A missing key, a ``beta_hat`` that is not
+        one finite real number per model term, a ``gamma_hat`` that is neither
+        a finite real number nor null, or a ``nu_hat`` that is not a finite
+        real number is a ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError("a fitted model must be a JSON object")
+        missing = [key for key in FITTED_MODEL_KEYS if key not in d]
+        if missing:
+            raise ValueError(f"a fitted model needs the keys {missing}")
+        spec = ModelSpec.from_dict(d["model"])
+        beta_hat = d["beta_hat"]
+        if (not isinstance(beta_hat, list) or len(beta_hat) != spec.p
+                or not all(_is_real(b) for b in beta_hat)):
+            raise ValueError(
+                f'"beta_hat" must hold {spec.p} finite real numbers, one per term '
+                f"of model {spec.name!r}"
+            )
+        if d["gamma_hat"] is not None and not _is_real(d["gamma_hat"]):
+            raise ValueError('"gamma_hat" must be a finite real number or null')
+        if not _is_real(d["nu_hat"]):
+            raise ValueError('"nu_hat" must be a finite real number')
         return FittedModel(
-            spec=ModelSpec.from_dict(d["model"]),
-            beta_hat=tuple(d["beta_hat"]),
+            spec=spec,
+            beta_hat=tuple(beta_hat),
             gamma_hat=d["gamma_hat"],
             nu_hat=d["nu_hat"],
             std_errors=tuple(d["std_errors"]),
@@ -152,6 +186,8 @@ class FittedModel:
 
 
 def gamma_log_likelihood(y: np.ndarray, mu: np.ndarray, nu: float) -> float:
+    from scipy.special import gammaln
+
     return float(
         np.sum(
             nu * math.log(nu)
@@ -207,6 +243,9 @@ def fit(
     fitted means; standard errors from the inverse expected information
     evaluated at the estimates.  BIC counts the shape parameter.
     """
+    from scipy.linalg import cho_solve
+    from scipy.optimize import minimize_scalar
+
     if response not in data.responses:
         raise KeyError(f"dataset has no response {response!r}")
     y = data.responses[response]

@@ -177,11 +177,14 @@ class ModelSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelSpec":
-        """The spec of ``to_dict``.  A value of the wrong JSON type (not an
-        object, ``factors`` or ``terms`` not a list, a term not a non-empty
-        list) is a ValueError."""
+        """The spec of ``to_dict``.  A missing key or a value of the wrong
+        JSON type (not an object, ``factors`` or ``terms`` not a list, a term
+        not a non-empty list) is a ValueError."""
         if not isinstance(d, dict):
             raise ValueError("a model must be a JSON object")
+        for key in ("name", "link"):
+            if key not in d:
+                raise ValueError(f'a model needs a "{key}" key')
         for key in ("factors", "terms"):
             if not isinstance(d.get(key), list):
                 raise ValueError(f'a model needs a "{key}" list')

@@ -145,25 +145,55 @@ class TestFitCommand:
 TEMPERATURE_MODEL = data.MODELS["temperature"].to_dict()
 
 
-@pytest.mark.parametrize(
-    "model, named",
-    [
-        ("temperature", "a model must be a JSON object"),
-        ({**TEMPERATURE_MODEL, "factors": 4}, 'a model needs a "factors" list'),
-        ({**TEMPERATURE_MODEL, "terms": 5}, 'a model needs a "terms" list'),
-        ({**TEMPERATURE_MODEL, "terms": [["intercept"], 7]},
-         "a model term must be a non-empty list, got 7"),
-        ({**TEMPERATURE_MODEL, "terms": [["intercept"], ["main"]]},
-         "['main'] is not a model term"),
-    ],
-    ids=["not-an-object", "factors-number", "terms-number", "term-number",
-         "term-without-factor"],
-)
+def without(d: dict, key: str) -> dict:
+    return {k: v for k, v in d.items() if k != key}
+
+
+MALFORMED_MODELS = [
+    pytest.param("temperature", "a model must be a JSON object",
+                 id="not-an-object"),
+    pytest.param(without(TEMPERATURE_MODEL, "name"), 'a model needs a "name" key',
+                 id="name-missing"),
+    pytest.param(without(TEMPERATURE_MODEL, "link"), 'a model needs a "link" key',
+                 id="link-missing"),
+    pytest.param({**TEMPERATURE_MODEL, "factors": 4},
+                 'a model needs a "factors" list', id="factors-number"),
+    pytest.param({**TEMPERATURE_MODEL, "terms": 5}, 'a model needs a "terms" list',
+                 id="terms-number"),
+    pytest.param({**TEMPERATURE_MODEL, "terms": [["intercept"], 7]},
+                 "a model term must be a non-empty list, got 7", id="term-number"),
+    pytest.param({**TEMPERATURE_MODEL, "terms": [["intercept"], ["main"]]},
+                 "['main'] is not a model term", id="term-without-factor"),
+]
+
+
+@pytest.mark.parametrize("model, named", MALFORMED_MODELS)
 def test_malformed_model_file_is_parse_error(capsys, tmp_path, model, named):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(model))
     code, _, err = run_cli(
         capsys, "fit", "--model", str(path), "--response", "temperature"
+    )
+    assert code == EXIT_PARSE
+    assert f"{path}: {named}" in err
+
+
+@pytest.mark.parametrize(
+    "model, named",
+    [case for case in MALFORMED_MODELS if isinstance(case.values[0], dict)],
+)
+def test_malformed_scenario_model_is_parse_error_naming_the_file(
+    capsys, tmp_path, model, named
+):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "model": model,
+        "beta": list(data.ESTIMATES["temperature"].beta),
+        "gamma": data.ESTIMATES["temperature"].gamma,
+    }))
+    code, _, err = run_cli(
+        capsys, "design", "--criterion", "D", "--models", str(path),
+        *TINY_SEARCH,
     )
     assert code == EXIT_PARSE
     assert f"{path}: {named}" in err
@@ -571,6 +601,33 @@ class TestPredictCommand:
             capsys, "predict", "--model", str(fitted), "--metric", "r2"
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            (lambda d: "x", "a fitted model must be a JSON object"),
+            (lambda d: without(d, "model"), "a fitted model needs the keys ['model']"),
+            (lambda d: {**d, "beta_hat": ["abc", *d["beta_hat"][1:]]},
+             '"beta_hat" must hold 5 finite real numbers'),
+            (lambda d: {**d, "beta_hat": d["beta_hat"][:-1]},
+             '"beta_hat" must hold 5 finite real numbers'),
+            (lambda d: {**d, "beta_hat": [float("nan"), *d["beta_hat"][1:]]},
+             '"beta_hat" must hold 5 finite real numbers'),
+            (lambda d: {**d, "gamma_hat": "abc"},
+             '"gamma_hat" must be a finite real number or null'),
+            (lambda d: {**d, "nu_hat": None}, '"nu_hat" must be a finite real number'),
+        ],
+        ids=["not-an-object", "model-missing", "beta-string", "beta-short",
+             "beta-nan", "gamma-string", "nu-null"],
+    )
+    def test_malformed_model_file_is_parse_error(
+        self, capsys, fitted, tmp_path, change, named
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(change(json.loads(fitted.read_text()))))
+        code, _, err = run_cli(capsys, "predict", "--model", str(path))
+        assert code == EXIT_PARSE
+        assert f"{path}: {named}" in err
 
     def test_domain_violation_is_exit_6(self, capsys, tmp_path):
         model = fit(data.MODELS["temperature"], data.ccd_dataset(),
