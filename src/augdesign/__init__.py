@@ -15,8 +15,6 @@ from .criteria import (
     d1_ratio_vs_d_optimum,
     eff_D,
     eff_D1,
-    phi_D,
-    phi_D1,
     phi_bayes,
     phi_compromise,
 )
@@ -42,12 +40,7 @@ from .glm import (
     TermKind,
     regressor_matrix,
 )
-from .information import (
-    Design,
-    fisher_info,
-    inv_quadratic_form,
-    log_det,
-)
+from .information import Design, fisher_info
 from .optimizer import (
     PsoConfig,
     SearchResult,

@@ -16,8 +16,6 @@ from .criteria import (
     ScenarioEnsemble,
     eff_D,
     eff_D1,
-    phi_D,
-    phi_D1,
 )
 from .estimation import (
     Dataset,
@@ -260,14 +258,13 @@ def cmd_efficiency(args) -> int:
     design = _new_runs(args.design)
     m = len(design)
     ensemble = ScenarioEnsemble([scenario], data.initial_design(), m)
-    phi = phi_D if args.flavor == "D" else phi_D1
     if args.relative_to:
         other = _new_runs(args.relative_to)
         if len(other) != m:
             raise DimensionError(
                 f"designs have different sizes: {m} vs {len(other)}"
             )
-        denom = phi(scenario, other, ensemble)
+        denom = getattr(ensemble.score_design(other), args.flavor)[0]
         if denom <= 0:
             raise DimensionError("comparison design has zero criterion value")
         label = f"relative to {args.relative_to}"
@@ -278,7 +275,7 @@ def cmd_efficiency(args) -> int:
         if denom <= 0:
             raise DegenerateOptimumError(f"the local {args.flavor} optimum is 0")
         label = "vs local optimum"
-    ratio = phi(scenario, design, ensemble) / denom
+    ratio = getattr(ensemble.score_design(design), args.flavor)[0] / denom
     print(f"eff_{args.flavor} {label}: {100*ratio:.2f}%")
     return EXIT_OK
 

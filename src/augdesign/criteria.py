@@ -3,28 +3,29 @@ and the alpha-compromise between estimation and day-effect testing."""
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
 
-from .glm import InvalidPredictorError, ModelSpec, ParamPoint
+from .glm import ModelSpec, ParamPoint
 from .information import (
     Design,
     augmented_info_entries,
     cholesky,
     factor_last_pivot_sq,
     factor_log_det,
-    inv_quadratic_form,
-    log_det,
 )
 
 
 class StackScores(NamedTuple):
-    """phi_D and phi_D1 of k designs under each of an ensemble's S scenarios,
-    as two (S, k) arrays in scenario order (``ScenarioEnsemble.score``), or
-    of one design as two (S,) arrays (``ScenarioEnsemble.score_design``).
+    """The D criterion |I|^(1/(p+1)) and the D1 criterion 1 / (I^{-1})_nn of
+    k designs under each of an ensemble's S scenarios, as two (S, k) arrays
+    in scenario order (``ScenarioEnsemble.score``), or of one design as two
+    (S,) arrays (``ScenarioEnsemble.score_design``).  I is the information
+    with the day-effect column last; a singular or infeasible design scores 0.
 
     The criteria take it in place of the (k, m, 4) stack it scores and read
     their scenario's row, so a stack is assembled and factored once however
@@ -55,8 +56,11 @@ class Scenario:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError("scenario weight must be positive")
+        w = self.weight
+        if (isinstance(w, bool) or not isinstance(w, numbers.Real)
+                or not 0 < w < math.inf):
+            raise ValueError(f"scenario for model {self.spec.name!r} has weight "
+                             f"{w!r}; a weight must be a positive finite number")
         if self.params.gamma is None:
             raise ValueError("a scenario requires a day-effect value")
         if len(self.params.beta) != self.spec.p:
@@ -111,17 +115,14 @@ class ScenarioEnsemble:
         # The last single design scored: the Design itself (None for an
         # array), a private copy of its day-1 coordinates, and its scores.
         self._kept: tuple = (None, None, None)
-        coords = initial_design.coords
-        days = np.zeros(len(initial_design))
-        self._base = []
+        coords, days = initial_design.coords, np.zeros(len(initial_design))
+        base = [augmented_info_entries(s.spec, s.params, coords, days)
+                for s in self.scenarios]
         # Scenario positions keyed by spec identity, not value: hashing a
         # ModelSpec costs microseconds on every criterion call.
         self._positions: dict[tuple[int, ParamPoint], int] = {}
         rows: dict[int, list[int]] = {}
         for i, s in enumerate(self.scenarios):
-            self._base.append(
-                augmented_info_entries(s.spec, s.params, coords, days)
-            )
             self._positions.setdefault((id(s.spec), s.params), i)
             rows.setdefault(id(s.spec), []).append(i)
         # The scenarios of one model, scored together by ``score``: their
@@ -133,55 +134,30 @@ class ScenarioEnsemble:
                 slice(r[0], r[-1] + 1) if r[-1] - r[0] == len(r) - 1 else np.array(r),
                 self.scenarios[r[0]].spec,
                 tuple(self.scenarios[i].params for i in r),
-                np.stack([self._base[i] for i in r])[:, None],
+                np.stack([base[i] for i in r])[:, None],
             )
             for r in rows.values()
         ]
 
-    def augmented_entries(self, idx: int, new_coords: np.ndarray) -> np.ndarray:
-        """Information of the initial design plus the (m, 4) new day-1 runs."""
-        s = self.scenarios[idx]
-        if new_coords.size == 0:
-            return self._base[idx]
-        days = np.ones(new_coords.shape[:-1])
-        add = augmented_info_entries(s.spec, s.params, new_coords, days)
-        return self._base[idx] + add
-
     def score(self, stack: np.ndarray) -> StackScores:
-        """phi_D and phi_D1 of every scenario and every design of a (k, m, 4)
-        stack of new day-1 runs.
-
-        The scenarios of each model are assembled in one call and factored
-        by one Cholesky call, which gives both criteria.  A design outside a
-        scenario's link domain scores 0 for that scenario only.  numpy
-        rejects a stack as a whole, so a model whose stack holds a matrix
-        that is not positive definite is scored one design at a time
-        through phi_D and phi_D1 instead.
-        """
-        k = len(stack)
-        values = np.empty((2, len(self.scenarios), k))
-        ok = np.empty((len(self.scenarios), k), dtype=bool)
+        """The D and D1 criteria of every scenario and every design of a
+        (k, m, 4) stack of new day-1 runs, scored model by model
+        (``_score_model``)."""
+        if stack.ndim != 3 or stack.shape[-1] != 4:
+            raise ValueError(
+                f"a stack of designs must have shape (k, m, 4), got shape {stack.shape}"
+            )
+        values = np.empty((2, len(self.scenarios), len(stack)))
+        ok = np.empty(values.shape[1:], dtype=bool)
         days = np.ones(stack.shape[:-1])
         for rows, spec, params, base in self._groups:
-            add, feasible = augmented_info_entries(spec, params, stack, days)
-            entries = base + add
-            n = entries.shape[-1]
-            try:
-                chol, nonsingular = cholesky(entries.reshape(-1, n, n))
-            except np.linalg.LinAlgError:
-                for i in np.arange(len(self.scenarios))[rows]:
-                    s = self.scenarios[i]
-                    values[0, i] = [phi_D(s, runs, self) for runs in stack]
-                    values[1, i] = [phi_D1(s, runs, self) for runs in stack]
-                ok[rows] = True
-                continue
-            values[0, rows] = np.exp(factor_log_det(chol) / n).reshape(-1, k)
-            values[1, rows] = factor_last_pivot_sq(chol).reshape(-1, k)
-            ok[rows] = nonsingular.reshape(-1, k) & feasible
+            (values[0, rows], values[1, rows]), ok[rows] = _score_model(
+                spec, params, base, stack, days
+            )
         return StackScores(*np.where(ok, values, 0.0))
 
     def score_design(self, new_runs: NewRuns) -> StackScores:
-        """phi_D and phi_D1 of one design of new day-1 runs (a Design, an
+        """The D and D1 criteria of one design of new day-1 runs (a Design, an
         (m, 4) array or None) under every scenario, as two (S,) arrays.
 
         The design is scored by ``score`` as a stack of one and kept with
@@ -202,14 +178,17 @@ class ScenarioEnsemble:
         return scores
 
     def set_optimal(self, idx: int, d_opt: Design, d1_opt: Design) -> None:
-        """Populate the cache from explicit locally optimal designs."""
+        """Populate the cache from explicit locally optimal designs, scored as
+        one stack of two against the scenario's model."""
         s = self.scenarios[idx]
-        vd = phi_D(s, d_opt, self)
-        vd1 = phi_D1(s, d1_opt, self)
-        vd1_at_d = phi_D1(s, d_opt, self)
+        _, spec, params, base = next(g for g in self._groups if g[1] is s.spec)
+        j = params.index(s.params)
+        stack = np.stack([_new_coords(d_opt), _new_coords(d1_opt)])
+        values, ok = _score_model(spec, params, base, stack, np.ones(stack.shape[:-1]))
+        (vd, _), (vd1_at_d, vd1) = np.where(ok, values, 0.0)[:, j]
         if vd <= 0 or vd1 <= 0 or vd1_at_d <= 0:
             raise DegenerateOptimumError("cached optimal values must be positive")
-        self.cache[idx] = OptimalValues(vd, vd1, vd1_at_d)
+        self.cache[idx] = OptimalValues(float(vd), float(vd1), float(vd1_at_d))
 
     def require_cache(self, idx: int) -> OptimalValues:
         if idx not in self.cache:
@@ -217,6 +196,35 @@ class ScenarioEnsemble:
                 f"no cached optimum for scenario {idx}; build the cache first"
             )
         return self.cache[idx]
+
+
+def _score_model(spec: ModelSpec, params: tuple, base: np.ndarray,
+                 stack: np.ndarray, days: np.ndarray):
+    """The D and D1 criteria of a (k, m, 4) stack of new day-1 runs under the
+    S scenarios of one model, given their (S, 1, p+1, p+1) initial blocks,
+    as two (S, k) arrays with the (S, k) mask of the values that stand; the
+    others score 0.
+
+    One assembly call and one Cholesky call give both criteria.  A design
+    outside a scenario's link domain is masked for that scenario only.
+    numpy rejects a stack as a whole, so a stack holding a matrix that is
+    not positive definite is factored one matrix at a time, and that matrix
+    is masked.
+    """
+    add, feasible = augmented_info_entries(spec, params, stack, days)
+    n = base.shape[-1]
+    entries = (base + add).reshape(-1, n, n)
+    try:
+        chol, ok = cholesky(entries)
+    except np.linalg.LinAlgError:
+        factors = [cholesky(a) for a in entries]
+        ok = np.array([f is not None for f in factors])
+        # The identity stands in for a missing factor; the mask zeroes it.
+        chol = np.array([np.eye(n) if f is None else f for f in factors])
+    shape = (len(params), len(stack))
+    values = (np.exp(factor_log_det(chol) / n).reshape(shape),
+              factor_last_pivot_sq(chol).reshape(shape))
+    return values, ok.reshape(shape) & feasible
 
 
 def _position(ensemble: ScenarioEnsemble, scenario: Scenario) -> int:
@@ -234,34 +242,13 @@ def _new_coords(new_runs: NewRuns) -> np.ndarray:
             raise ValueError("new runs must all carry day=1")
         return new_runs.coords.astype(float, copy=False)
     arr = np.asarray(new_runs, dtype=float)
-    if arr.ndim > 2:
+    if arr.size == 0:
+        return np.empty((0, 4))
+    if arr.ndim > 2 or arr.shape[-1:] != (4,):
         raise ValueError(
             f"new runs must be one design of shape (m, 4), got shape {arr.shape}"
         )
     return arr.reshape(-1, 4)
-
-
-def phi_D(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble) -> float:
-    """|I((X1, X2), s)|^(1/(p+1)) with the day-effect column; 0 if infeasible
-    or singular (a log-determinant of -inf exponentiates to 0)."""
-    idx = _position(ensemble, scenario)
-    coords = _new_coords(new_runs)
-    try:
-        entries = ensemble.augmented_entries(idx, coords)
-    except InvalidPredictorError:
-        return 0.0
-    return float(np.exp(log_det(entries) / entries.shape[0]))
-
-
-def phi_D1(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble) -> float:
-    """Inverse of the day-effect coordinate of I^{-1}; 0 if singular/infeasible."""
-    idx = _position(ensemble, scenario)
-    coords = _new_coords(new_runs)
-    try:
-        entries = ensemble.augmented_entries(idx, coords)
-    except InvalidPredictorError:
-        return 0.0
-    return inv_quadratic_form(entries)
 
 
 def _scored(ensemble: ScenarioEnsemble, new_runs: NewRuns) -> StackScores:
@@ -276,18 +263,18 @@ def _scored(ensemble: ScenarioEnsemble, new_runs: NewRuns) -> StackScores:
 
 
 def eff_D(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble):
-    """phi_D relative to its cached optimum, read from the scenario's row of
-    the design's scores: one design gives one value, and a (k, m, 4) array
-    of designs, or its StackScores, gives k values."""
+    """The D criterion relative to its cached optimum, read from the
+    scenario's row of the design's scores: one design gives one value, and a
+    (k, m, 4) array of designs, or its StackScores, gives k values."""
     idx = _position(ensemble, scenario)
     opt = ensemble.require_cache(idx)
     return _scored(ensemble, new_runs).D[idx] / opt.phi_d_at_d_opt
 
 
 def eff_D1(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble):
-    """phi_D1 relative to its cached optimum, read from the scenario's row of
-    the design's scores: one design gives one value, and a (k, m, 4) array
-    of designs, or its StackScores, gives k values."""
+    """The D1 criterion relative to its cached optimum, read from the
+    scenario's row of the design's scores: one design gives one value, and a
+    (k, m, 4) array of designs, or its StackScores, gives k values."""
     idx = _position(ensemble, scenario)
     opt = ensemble.require_cache(idx)
     return _scored(ensemble, new_runs).D1[idx] / opt.phi_d1_at_d1_opt
@@ -299,7 +286,7 @@ def d1_ratio_vs_d_optimum(
     """Phi_D1 of the candidate relative to Phi_D1 at the locally D-optimal design."""
     idx = _position(ensemble, scenario)
     opt = ensemble.require_cache(idx)
-    return phi_D1(scenario, new_runs, ensemble) / opt.phi_d1_at_d_opt
+    return ensemble.score_design(new_runs).D1[idx] / opt.phi_d1_at_d_opt
 
 
 def phi_bayes(ensemble: ScenarioEnsemble, new_runs: NewRuns, flavor: str):

@@ -26,7 +26,7 @@ from .glm import (
     regressor_matrix,
 )
 from .information import (
-    MINUS_INF, Design, cholesky, log_det, read_csv, write_csv,
+    Design, cholesky, factor_log_det, read_csv, write_csv,
 )
 
 MAX_SCORING_ITERATIONS = 100
@@ -352,8 +352,8 @@ def observed_efficiency(fit_a: FittedModel, fit_b: FittedModel) -> float:
         raise ValueError("fits must share the same model")
     if (fit_a.gamma_hat is None) != (fit_b.gamma_hat is None):
         raise ValueError("fits must share the day-effect structure")
-    ld_a = log_det(fit_a.covariance)
-    ld_b = log_det(fit_b.covariance)
-    if MINUS_INF in (ld_a, ld_b):
+    chol_a, chol_b = cholesky(fit_a.covariance), cholesky(fit_b.covariance)
+    if chol_a is None or chol_b is None:
         raise RankDeficientError("covariance matrix is not positive definite")
+    ld_a, ld_b = factor_log_det(chol_a), factor_log_det(chol_b)
     return float(math.exp((ld_b - ld_a) / fit_a.covariance.shape[0]))

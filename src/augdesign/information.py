@@ -19,8 +19,6 @@ from .glm import (
     regressor_matrix,
 )
 
-MINUS_INF = float("-inf")
-
 #: Relative pivot threshold below which a symmetric factorization is
 #: treated as singular.  Separates structurally deficient designs from
 #: mere ill-conditioning at the box corners.
@@ -223,25 +221,5 @@ def factor_log_det(chol: np.ndarray):
 
 def factor_last_pivot_sq(chol: np.ndarray):
     """L_nn^2, over the last two axes: with I = L L^T, (I^{-1})_nn = 1 / L_nn^2,
-    so this is (e^T I^{-1} e)^{-1} for the last coordinate.
-
-    One factor squares a numpy scalar, which rounds like C ``pow``; a stack
-    squares an array, which rounds the product.  They can differ by one ulp.
-    """
-    return chol[..., -1, -1][()] ** 2
-
-
-def log_det(a: np.ndarray) -> float:
-    """Log determinant via Cholesky; -inf when numerically singular."""
-    chol = cholesky(a)
-    if chol is None:
-        return MINUS_INF
-    return float(factor_log_det(chol))
-
-
-def inv_quadratic_form(a: np.ndarray) -> float:
-    """(e^T I^{-1} e)^{-1} for the last coordinate; 0.0 when singular."""
-    chol = cholesky(a)
-    if chol is None:
-        return 0.0
-    return float(factor_last_pivot_sq(chol))
+    so this is (e^T I^{-1} e)^{-1} for the last coordinate."""
+    return chol[..., -1, -1] ** 2

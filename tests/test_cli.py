@@ -347,6 +347,25 @@ class TestEfficiencyCommand:
         assert code == EXIT_OK
         assert "100.00%" in stdout
 
+    @pytest.mark.parametrize(
+        "model, flavor, printed",
+        [("temperature", "D", "81.63%"), ("temperature", "D1", "132.77%"),
+         ("flame_width", "D", "75.86%"), ("flame_width", "D1", "83.90%"),
+         ("flame_intensity", "D1", "516.60%")],
+    )
+    def test_relative_efficiency_of_bundled_designs(
+        self, capsys, reference_csv, tmp_path, model, flavor, printed
+    ):
+        # The percentages the scalar criteria printed for these designs.
+        other = tmp_path / "bayes.csv"
+        other.write_text(data.BAYES_D_FIXED.to_csv())
+        code, stdout, _ = run_cli(
+            capsys, "efficiency", "--design", str(reference_csv),
+            "--relative-to", str(other), "--model", model, "--flavor", flavor,
+        )
+        assert code == EXIT_OK
+        assert stdout == f"eff_{flavor} relative to {other}: {printed}\n"
+
     def test_size_mismatch_is_dimension_error(self, capsys, tmp_path):
         a = tmp_path / "a.csv"
         a.write_text(data.REFERENCE_DESIGN.to_csv())

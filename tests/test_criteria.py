@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from augdesign import (
     Design,
     MissingCacheError,
+    OptimalValues,
     ParamPoint,
     Scenario,
     ScenarioEnsemble,
@@ -15,12 +17,11 @@ from augdesign import (
     eff_D,
     eff_D1,
     fisher_info,
-    phi_D,
-    phi_D1,
     phi_bayes,
     phi_compromise,
 )
 from augdesign import criteria, data
+from scalar_oracle import phi_D, phi_D1
 
 
 def scaled_scenario(name, c):
@@ -35,6 +36,14 @@ class TestScenario:
     def test_weight_must_be_positive(self):
         with pytest.raises(ValueError):
             Scenario(data.MODELS["velocity"], data.ESTIMATES["velocity"], 0.0)
+
+    @pytest.mark.parametrize(
+        "weight", [np.nan, np.inf, -np.inf, True, "1", None],
+        ids=["nan", "inf", "-inf", "bool", "string", "none"],
+    )
+    def test_weight_must_be_a_finite_number(self, weight):
+        with pytest.raises(ValueError, match="model 'velocity' has weight"):
+            Scenario(data.MODELS["velocity"], data.ESTIMATES["velocity"], weight)
 
     def test_gamma_required(self):
         with pytest.raises(ValueError):
@@ -80,7 +89,7 @@ class TestEnsemble:
         ens = data.single_scenario_ensemble("velocity")
         other = Scenario(data.MODELS["temperature"], data.ESTIMATES["temperature"])
         with pytest.raises(KeyError):
-            phi_D(other, data.REFERENCE_DESIGN, ens)
+            eff_D(other, data.REFERENCE_DESIGN, ens)
 
     def test_missing_cache_raises(self):
         ens = data.single_scenario_ensemble("velocity")
@@ -99,58 +108,81 @@ new_runs_strategy = st.lists(
 
 
 def direct_information(name, variant, new_runs):
-    """The scenario and its information matrix, assembled from the whole
-    design rather than the ensemble's cached initial block."""
-    s = PM10PM20.scenarios[data.RESPONSES.index(name) * VARIANTS + variant]
+    """The scenario's position and its information matrix, assembled from
+    the whole design rather than the ensemble's cached initial block."""
+    idx = data.RESPONSES.index(name) * VARIANTS + variant
+    s = PM10PM20.scenarios[idx]
     design = data.initial_design().concat(Design.from_coords(new_runs, day=1))
-    return s, fisher_info(s.spec, s.params, design)
+    return idx, fisher_info(s.spec, s.params, design)
 
 
 class TestPhi:
-    """phi_D and phi_D1 (Cholesky) against an LU-based numpy oracle."""
+    """The D and D1 criteria of one design (``score_design``, Cholesky)
+    against an LU-based numpy oracle."""
 
     @pytest.mark.parametrize("name", data.RESPONSES)
     @settings(max_examples=25, deadline=None)
     @given(new_runs=new_runs_strategy, variant=st.integers(0, VARIANTS - 1))
     @example(new_runs=data.REFERENCE_DESIGN.coords, variant=2)
     def test_phi_d_matches_direct_information(self, name, new_runs, variant):
-        s, info = direct_information(name, variant, new_runs)
+        idx, info = direct_information(name, variant, new_runs)
         sign, logdet = np.linalg.slogdet(info)
         assert sign == 1.0
         expect = np.exp(logdet / len(info))
-        assert phi_D(s, np.array(new_runs), PM10PM20) == pytest.approx(
-            expect, rel=1e-9
-        )
+        got = PM10PM20.score_design(np.array(new_runs)).D[idx]
+        assert got == pytest.approx(expect, rel=1e-9)
 
     @pytest.mark.parametrize("name", data.RESPONSES)
     @settings(max_examples=25, deadline=None)
     @given(new_runs=new_runs_strategy, variant=st.integers(0, VARIANTS - 1))
     @example(new_runs=data.REFERENCE_DESIGN.coords, variant=2)
     def test_phi_d1_matches_direct_information(self, name, new_runs, variant):
-        s, info = direct_information(name, variant, new_runs)
+        idx, info = direct_information(name, variant, new_runs)
         expect = 1.0 / np.linalg.inv(info)[-1, -1]
-        assert phi_D1(s, np.array(new_runs), PM10PM20) == pytest.approx(
-            expect, rel=1e-9
-        )
+        got = PM10PM20.score_design(np.array(new_runs)).D1[idx]
+        assert got == pytest.approx(expect, rel=1e-9)
 
-    @pytest.mark.parametrize("phi", [phi_D, phi_D1])
-    def test_stack_of_designs_rejected(self, phi):
+    @pytest.mark.parametrize("flavor", ["D", "D1"], ids=["phi_D", "phi_D1"])
+    def test_stack_of_designs_rejected(self, flavor):
         # Flattening three 4-run designs would score one 12-run design.
         stack = np.stack([data.REFERENCE_DESIGN.coords] * 3)
         with pytest.raises(ValueError, match="one design"):
-            phi(PM10PM20.scenarios[0], stack, PM10PM20)
+            getattr(PM10PM20.score_design(stack), flavor)
+
+    @pytest.mark.parametrize(
+        "shape", [(4, 3), (4, 5), (16,), (2, 4, 3)], ids=["4x3", "4x5", "16", "2x4x3"]
+    )
+    def test_wrong_number_of_coordinates_rejected(self, shape):
+        # A (4, 3) array once read as a different 3-run design.
+        ens = STACK_ENSEMBLE
+        runs = np.full(shape, 0.5)
+        message = re.escape(f"got shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            eff_D(ens.scenarios[0], runs, ens)
+        with pytest.raises(ValueError, match=message):
+            phi_bayes(ens, runs, "D1")
+        if len(shape) == 3:
+            with pytest.raises(ValueError, match=message):
+                ens.score(runs)
 
     def test_no_new_runs_gives_zero(self):
         ens = data.single_scenario_ensemble("temperature")
-        s = ens.scenarios[0]
-        assert phi_D(s, None, ens) == 0.0
-        assert phi_D1(s, None, ens) == 0.0
+        scores = ens.score_design(None)
+        assert scores.D[0] == 0.0
+        assert scores.D1[0] == 0.0
+
+    @pytest.mark.parametrize("shape", [(0, 4), (0, 3), (0,)])
+    def test_empty_array_is_no_new_runs(self, shape):
+        ens = data.single_scenario_ensemble("temperature")
+        scores = ens.score_design(np.empty(shape))
+        assert scores.D[0] == 0.0
+        assert scores.D1[0] == 0.0
 
     def test_day_zero_new_runs_rejected(self):
         ens = data.single_scenario_ensemble("temperature")
         day0 = Design.from_coords(data.REFERENCE_DESIGN.coords, day=0)
         with pytest.raises(ValueError):
-            phi_D(ens.scenarios[0], day0, ens)
+            ens.score_design(day0)
 
     def test_infeasible_design_scores_zero(self):
         # Push the temperature predictor negative on a day-1 run.
@@ -158,6 +190,9 @@ class TestPhi:
         base = data.ESTIMATES[name]
         s = Scenario(data.MODELS[name], ParamPoint(base.beta, -2000.0))
         ens = ScenarioEnsemble([s], data.initial_design(), 4)
+        scores = ens.score_design(data.REFERENCE_DESIGN)
+        assert scores.D[0] == 0.0
+        assert scores.D1[0] == 0.0
         assert phi_D(ens.scenarios[0], data.REFERENCE_DESIGN, ens) == 0.0
         assert phi_D1(ens.scenarios[0], data.REFERENCE_DESIGN, ens) == 0.0
 
@@ -194,8 +229,8 @@ class TestEfficiencyInvariance:
         )
         ens_a = ScenarioEnsemble([a], data.initial_design(), 4)
         ens_b = ScenarioEnsemble([b], data.initial_design(), 4)
-        va = phi_D(ens_a.scenarios[0], data.REFERENCE_DESIGN, ens_a)
-        vb = phi_D(ens_b.scenarios[0], data.REFERENCE_DESIGN, ens_b)
+        va = ens_a.score_design(data.REFERENCE_DESIGN).D[0]
+        vb = ens_b.score_design(data.REFERENCE_DESIGN).D[0]
         assert va == pytest.approx(vb, rel=1e-12)
 
 
@@ -345,19 +380,26 @@ def assert_criteria_are_scalar(ens, new_runs, expected, column=slice(None)):
         )
 
 
-def count_scalar_calls(monkeypatch):
-    """Record (function, model) for every phi_D and phi_D1 call the
-    criteria module makes."""
-    calls = []
+def count_single_matrix_factorizations(monkeypatch):
+    """Record the model of every single-matrix ``cholesky`` call the
+    criteria module makes, one per matrix factored outside a stack."""
+    calls, models = [], []
+    score_model, cholesky = criteria._score_model, criteria.cholesky
 
-    def counted(phi):
-        def wrapper(scenario, *args):
-            calls.append((phi.__name__, scenario.spec.name))
-            return phi(scenario, *args)
-        return wrapper
+    def counted_score_model(spec, *args):
+        models.append(spec.name)
+        try:
+            return score_model(spec, *args)
+        finally:
+            models.pop()
 
-    monkeypatch.setattr(criteria, "phi_D", counted(phi_D))
-    monkeypatch.setattr(criteria, "phi_D1", counted(phi_D1))
+    def counted_cholesky(a):
+        if a.ndim == 2:
+            calls.append(models[-1])
+        return cholesky(a)
+
+    monkeypatch.setattr(criteria, "_score_model", counted_score_model)
+    monkeypatch.setattr(criteria, "cholesky", counted_cholesky)
     return calls
 
 
@@ -419,7 +461,7 @@ class TestStacked:
             [[phi(s, d, ens) for d in CORNER_STACK] for s in ens.scenarios]
             for phi in (phi_D, phi_D1)
         ]
-        calls = count_scalar_calls(monkeypatch)
+        calls = count_single_matrix_factorizations(monkeypatch)
         scores = ens.score(CORNER_STACK)
         assert calls == []
         for got, want in zip(scores, expect):
@@ -445,12 +487,11 @@ class TestStacked:
             [[phi(s, d, ens) for d in stack] for s in ens.scenarios]
             for phi in (phi_D, phi_D1)
         ]
-        calls = count_scalar_calls(monkeypatch)
+        # Only the temperature model's matrices are factored one at a time;
+        # its corner designs outside the link domain still score 0.
+        calls = count_single_matrix_factorizations(monkeypatch)
         scores = ens.score(stack)
-        assert sorted(set(calls)) == [
-            ("phi_D", "temperature"), ("phi_D1", "temperature")
-        ]
-        assert len(calls) == 2 * len(stack)
+        assert calls == ["temperature"] * len(stack)
         for got, want in zip(scores, expect):
             assert_same_as_scalar(got, want)
             assert got[0, 0] == 0.0 and np.all(got[1] > 0.0)
@@ -562,6 +603,20 @@ def _affine_ensemble():
             )
         _AFFINE_CACHE.append(ens)
     return _AFFINE_CACHE[0]
+
+
+@pytest.mark.parametrize("gammas", ["fixed", "pm10", "pm10pm20"])
+def test_set_optimal_equals_the_scalar_criteria(gammas):
+    # set_optimal scores both optima as one stack against the scenario's
+    # model; every cached value equals the scalar one bit for bit.
+    ens = data.model_ensemble(gammas)
+    for i, s in enumerate(ens.scenarios):
+        d_opt = data.LOCAL_D_OPTIMAL[s.spec.name]
+        d1_opt = data.LOCAL_D1_OPTIMAL[s.spec.name]
+        ens.set_optimal(i, d_opt, d1_opt)
+        assert ens.cache[i] == OptimalValues(
+            phi_D(s, d_opt, ens), phi_D1(s, d1_opt, ens), phi_D1(s, d_opt, ens)
+        )
 
 
 def test_d1_ratio_uses_d_optimum_denominator(local_ensembles):

@@ -6,16 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from augdesign import (
-    Design,
-    Run,
-    fisher_info,
-    inv_quadratic_form,
-    log_det,
-)
+from augdesign import Design, Run, fisher_info
 from augdesign import data
-from augdesign.information import MINUS_INF, SINGULAR_TOL, _nonsingular, cholesky
+from augdesign.information import SINGULAR_TOL, _nonsingular, cholesky
 from mp_oracle import mp_info
+from scalar_oracle import MINUS_INF, inv_quadratic_form, log_det
 
 
 def full_design(response="temperature"):

@@ -9,7 +9,6 @@ from augdesign import (
     PsoConfig,
     Scenario,
     build_cache,
-    phi_D,
     phi_bayes,
     phi_compromise,
     pso_maximize,
@@ -133,7 +132,7 @@ class TestSolveLocal:
         ens = local_ensembles["temperature"]
         s = ens.scenarios[0]
         result = solve_local(s, data.initial_design(), 4, "D", SMALL)
-        published = phi_D(s, data.LOCAL_D_OPTIMAL["temperature"], ens)
+        published = ens.score_design(data.LOCAL_D_OPTIMAL["temperature"]).D[0]
         assert result.best_value >= published - 1e-6 * published
 
     def test_temperature_search_leaves_fdv_at_zero(self):
@@ -167,8 +166,7 @@ class TestCache:
         for name in data.RESPONSES:
             ens = data.single_scenario_ensemble(name)
             build_cache(ens, SMALL)
-            s = ens.scenarios[0]
-            published = phi_D(s, data.LOCAL_D_OPTIMAL[name], ens)
+            published = ens.score_design(data.LOCAL_D_OPTIMAL[name]).D[0]
             assert ens.require_cache(0).phi_d_at_d_opt >= published * (1 - 1e-6)
 
 
