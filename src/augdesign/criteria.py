@@ -10,7 +10,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .glm import ModelSpec, ParamPoint
+from .glm import InvalidPredictorError, ModelSpec, ParamPoint
 from .information import (
     Design,
     augmented_info_entries,
@@ -36,7 +36,7 @@ class StackScores(NamedTuple):
     D1: np.ndarray
 
 
-NewRuns = Union[Design, np.ndarray, StackScores, None]
+NewRuns = Union[Design, StackScores]
 
 
 class MissingCacheError(RuntimeError):
@@ -105,19 +105,18 @@ class ScenarioEnsemble:
             raise ValueError("ensemble needs at least one scenario")
         if any(r.day != 0 for r in initial_design.runs):
             raise ValueError("initial design must be all day-0 runs")
-        total = sum(s.weight for s in scenarios)
+        # Dividing by the largest weight first keeps the sum finite.
+        top = max(s.weight for s in scenarios)
+        total = sum(s.weight / top for s in scenarios)
         self.scenarios = [
-            Scenario(s.spec, s.params, s.weight / total) for s in scenarios
+            Scenario(s.spec, s.params, s.weight / top / total) for s in scenarios
         ]
         self.initial_design = initial_design
         self.m = m
         self.cache: dict[int, OptimalValues] = {}
-        # The last single design scored: the Design itself (None for an
-        # array), a private copy of its day-1 coordinates, and its scores.
-        self._kept: tuple = (None, None, None)
-        coords, days = initial_design.coords, np.zeros(len(initial_design))
-        base = [augmented_info_entries(s.spec, s.params, coords, days)
-                for s in self.scenarios]
+        # The last Design scored by ``score_design`` and its scores; until
+        # then a fresh object, which no argument can be, stands in.
+        self._kept: tuple = (object(), None)
         # Scenario positions keyed by spec identity, not value: hashing a
         # ModelSpec costs microseconds on every criterion call.
         self._positions: dict[tuple[int, ParamPoint], int] = {}
@@ -126,18 +125,23 @@ class ScenarioEnsemble:
             self._positions.setdefault((id(s.spec), s.params), i)
             rows.setdefault(id(s.spec), []).append(i)
         # The scenarios of one model, scored together by ``score``: their
-        # rows, the model, their parameters and their initial blocks.  The
-        # rows are a slice when they are adjacent, as model_ensemble orders
-        # them, because writing to a slice is cheaper than to an index array.
-        self._groups = [
-            (
-                slice(r[0], r[-1] + 1) if r[-1] - r[0] == len(r) - 1 else np.array(r),
-                self.scenarios[r[0]].spec,
-                tuple(self.scenarios[i].params for i in r),
-                np.stack([base[i] for i in r])[:, None],
-            )
-            for r in rows.values()
-        ]
+        # rows, the model, their parameters and their (S, 1, p+1, p+1)
+        # initial blocks, assembled in one call.  The rows are a slice when
+        # they are adjacent, as model_ensemble orders them, because writing
+        # to a slice is cheaper than to an index array.
+        coords, days = initial_design.coords, np.zeros(len(initial_design))
+        self._groups = []
+        for r in rows.values():
+            spec = self.scenarios[r[0]].spec
+            params = tuple(self.scenarios[i].params for i in r)
+            base, inside = augmented_info_entries(spec, params, coords, days)
+            if not np.all(inside):
+                raise InvalidPredictorError(
+                    f"the initial design lies outside the {spec.link.value} "
+                    f"link's domain under model {spec.name!r}"
+                )
+            r = slice(r[0], r[-1] + 1) if r[-1] - r[0] == len(r) - 1 else np.array(r)
+            self._groups.append((r, spec, params, base[:, None]))
 
     def score(self, stack: np.ndarray) -> StackScores:
         """The D and D1 criteria of every scenario and every design of a
@@ -156,25 +160,21 @@ class ScenarioEnsemble:
             )
         return StackScores(*np.where(ok, values, 0.0))
 
-    def score_design(self, new_runs: NewRuns) -> StackScores:
-        """The D and D1 criteria of one design of new day-1 runs (a Design, an
-        (m, 4) array or None) under every scenario, as two (S,) arrays.
+    def score_design(self, design: Design) -> StackScores:
+        """The D and D1 criteria of one Design of new day-1 runs under every
+        scenario, as two (S,) arrays.
 
         The design is scored by ``score`` as a stack of one and kept with
-        its scores until a different design is scored, so its per-scenario
+        its scores until another Design is scored, so its per-scenario
         efficiencies and averages cost one assembly and one Cholesky per
-        model.  A Design is immutable and is matched by identity first;
-        otherwise the day-1 coordinates must be equal bit for bit.
+        model.  A Design is immutable, so it is matched by identity.
         """
-        design, coords, scores = self._kept
-        if new_runs is design and design is not None:
-            return scores
-        new = _new_coords(new_runs)
-        if coords is None or new.tobytes() != coords.tobytes():
-            coords = new.copy()
-            scores = StackScores(*(v[:, 0] for v in self.score(coords[None])))
-        self._kept = (new_runs if isinstance(new_runs, Design) else None,
-                      coords, scores)
+        kept, scores = self._kept
+        if design is not kept:
+            scores = StackScores(
+                *(v[:, 0] for v in self.score(_new_coords(design)[None]))
+            )
+            self._kept = (design, scores)
         return scores
 
     def set_optimal(self, idx: int, d_opt: Design, d1_opt: Design) -> None:
@@ -234,38 +234,29 @@ def _position(ensemble: ScenarioEnsemble, scenario: Scenario) -> int:
         raise KeyError("scenario does not belong to this ensemble") from None
 
 
-def _new_coords(new_runs: NewRuns) -> np.ndarray:
-    if new_runs is None:
-        return np.empty((0, 4))
-    if isinstance(new_runs, Design):
-        if any(r.day != 1 for r in new_runs.runs):
-            raise ValueError("new runs must all carry day=1")
-        return new_runs.coords.astype(float, copy=False)
-    arr = np.asarray(new_runs, dtype=float)
-    if arr.size == 0:
-        return np.empty((0, 4))
-    if arr.ndim > 2 or arr.shape[-1:] != (4,):
-        raise ValueError(
-            f"new runs must be one design of shape (m, 4), got shape {arr.shape}"
+def _new_coords(design: Design) -> np.ndarray:
+    """The (m, 4) coordinates of a Design whose runs all carry day=1."""
+    if not isinstance(design, Design):
+        raise TypeError(
+            f"new runs must be a Design or StackScores, got {type(design).__name__}"
         )
-    return arr.reshape(-1, 4)
+    if any(r.day != 1 for r in design.runs):
+        raise ValueError("new runs must all carry day=1")
+    return design.coords
 
 
 def _scored(ensemble: ScenarioEnsemble, new_runs: NewRuns) -> StackScores:
-    """The scores of ``new_runs`` under every scenario: a StackScores as it
-    is, a (k, m, 4) stack of designs scored once into (S, k) rows, and one
-    design as the ensemble's kept (S,) rows (``score_design``)."""
+    """A StackScores as it is; a Design as the ensemble's kept (S,) rows
+    (``score_design``)."""
     if isinstance(new_runs, StackScores):
         return new_runs
-    if getattr(new_runs, "ndim", 0) == 3:
-        return ensemble.score(new_runs)
     return ensemble.score_design(new_runs)
 
 
 def eff_D(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble):
     """The D criterion relative to its cached optimum, read from the
-    scenario's row of the design's scores: one design gives one value, and a
-    (k, m, 4) array of designs, or its StackScores, gives k values."""
+    scenario's row of the scores: a Design gives one value, and the
+    StackScores of k designs give k values."""
     idx = _position(ensemble, scenario)
     opt = ensemble.require_cache(idx)
     return _scored(ensemble, new_runs).D[idx] / opt.phi_d_at_d_opt
@@ -273,8 +264,8 @@ def eff_D(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble):
 
 def eff_D1(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble):
     """The D1 criterion relative to its cached optimum, read from the
-    scenario's row of the design's scores: one design gives one value, and a
-    (k, m, 4) array of designs, or its StackScores, gives k values."""
+    scenario's row of the scores: a Design gives one value, and the
+    StackScores of k designs give k values."""
     idx = _position(ensemble, scenario)
     opt = ensemble.require_cache(idx)
     return _scored(ensemble, new_runs).D1[idx] / opt.phi_d1_at_d1_opt
@@ -286,14 +277,13 @@ def d1_ratio_vs_d_optimum(
     """Phi_D1 of the candidate relative to Phi_D1 at the locally D-optimal design."""
     idx = _position(ensemble, scenario)
     opt = ensemble.require_cache(idx)
-    return ensemble.score_design(new_runs).D1[idx] / opt.phi_d1_at_d_opt
+    return _scored(ensemble, new_runs).D1[idx] / opt.phi_d1_at_d_opt
 
 
 def phi_bayes(ensemble: ScenarioEnsemble, new_runs: NewRuns, flavor: str):
-    """Weighted average of per-scenario efficiencies over the ensemble.  The
-    design is scored against every scenario once: one design gives one
-    value, and a (k, m, 4) array of designs, or its StackScores, gives k
-    values."""
+    """Weighted average of per-scenario efficiencies over the ensemble.  A
+    Design is scored against every scenario once and gives one value; the
+    StackScores of k designs give k values."""
     if flavor not in ("D", "D1"):
         raise ValueError("flavor must be 'D' or 'D1'")
     eff = eff_D if flavor == "D" else eff_D1
@@ -306,8 +296,8 @@ def phi_bayes(ensemble: ScenarioEnsemble, new_runs: NewRuns, flavor: str):
 def phi_compromise(ensemble: ScenarioEnsemble, new_runs: NewRuns, alpha: float):
     """alpha * Phi_B + (1 - alpha) * Phi_B1; a term with weight 0 is not
     evaluated, so alpha = 1 and alpha = 0 give exactly Phi_B and Phi_B1.
-    One design, or a (k, m, 4) array of designs, is scored once for both
-    averages; the array gives k values."""
+    A Design is scored once for both averages and gives one value; the
+    StackScores of k designs give k values."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     new_runs = _scored(ensemble, new_runs)

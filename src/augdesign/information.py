@@ -112,35 +112,27 @@ def read_csv(
 
 def augmented_info_entries(
     spec: ModelSpec,
-    params: ParamPoint | Sequence[ParamPoint],
+    params: Sequence[ParamPoint],
     coords: np.ndarray,
     days: np.ndarray,
 ):
-    """Raw (p+1)x(p+1) information entries for given coordinates and day flags.
+    """Raw (p+1)x(p+1) information entries of S parameter points of one model
+    for given coordinates and day flags.
 
-    A (k, n, 4) stack of coordinates with (k, n) day flags gives the k
-    matrices as one (k, p+1, p+1) stack; a predictor outside the link
-    domain raises ``InvalidPredictorError``.
-
-    A sequence of S parameter points of the model adds a leading scenario
-    axis and raises nothing: the result is the (S, k, p+1, p+1) stack with
-    an (S, k) mask of the matrices whose predictors all lie in the link
-    domain, or True when all of them do.  A run outside it is weighted at
-    the placeholder predictor 1, so a masked matrix is finite but means
-    nothing.
+    An (..., n, 4) array of coordinates with (..., n) day flags gives the
+    (S, ..., p+1, p+1) stack with an (S, ...) mask of the matrices whose
+    predictors all lie in the link domain, or True when all of them do.  A
+    run outside it is weighted at the placeholder predictor 1, so a masked
+    matrix is finite but means nothing.
     """
     Z = regressor_matrix(spec, coords.reshape(-1, len(GLOBAL_FACTORS)))
     Z = Z.reshape(*coords.shape[:-1], spec.p)
     Zs = np.concatenate([Z, days[..., None].astype(float, copy=False)], axis=-1)
-    if isinstance(params, ParamPoint):
-        eta = Z @ np.asarray(params.beta) + days * params.gamma
-        w = spec.link.weight(eta)
-        return (Zs * w[..., None]).swapaxes(-1, -2) @ Zs
-    # One matrix-vector product per distinct beta rounds like the
-    # one-scenario path.  A Z·B product rounds otherwise, and a predictor
-    # near 0 turns that last bit into a visible change of its 1/eta^2 weight.
-    # Scenarios that differ only in gamma, as a day-effect prior gives, share
-    # one product without stacking copies of it.
+    # One matrix-vector product per distinct beta, not one Z·B product over
+    # all of them: that rounds differently, and a predictor near 0 turns its
+    # last bit into a visible change of the 1/eta^2 weight.  Scenarios that
+    # differ only in gamma, as a day-effect prior gives, share one product
+    # without stacking copies of it.
     betas = {q.beta for q in params}
     if len(betas) == 1:
         zb = Z @ np.asarray(params[0].beta)
@@ -171,18 +163,25 @@ def fisher_info(
     weight is evaluated at z^T beta + t*gamma; without it, day flags are
     ignored and the plain p-dimensional information is returned.  The shape
     parameter is fixed to 1 (criteria are positively homogeneous in it).
+    A predictor outside the link domain raises ``InvalidPredictorError``.
     """
     if len(params.beta) != spec.p:
         raise ValueError("beta length must equal the spec's term count")
     if with_day_effect:
         if params.gamma is None:
             raise MissingGammaError("day-effect information requires gamma")
-        return augmented_info_entries(spec, params, design.coords, design.days)
-    # All-zero day flags leave the p x p block equal to the plain information.
-    day0 = ParamPoint(params.beta, 0.0)
-    return augmented_info_entries(
-        spec, day0, design.coords, np.zeros(len(design))
-    )[:-1, :-1]
+        days = design.days
+    else:
+        # All-zero day flags leave the p x p block equal to the plain
+        # information.
+        params, days = ParamPoint(params.beta, 0.0), np.zeros(len(design))
+    (entries,), inside = augmented_info_entries(spec, (params,), design.coords, days)
+    if not np.all(inside):
+        raise InvalidPredictorError(
+            f"the design lies outside the {spec.link.value} link's domain "
+            f"under model {spec.name!r}"
+        )
+    return entries if with_day_effect else entries[:-1, :-1]
 
 
 def _nonsingular(a: np.ndarray, chol: np.ndarray):

@@ -231,6 +231,6 @@ def solve_compromise(
 
     Requires the locally-optimal cache (build_cache) for every scenario."""
     def objective(fragments: np.ndarray) -> np.ndarray:
-        return phi_compromise(ensemble, fragments, alpha)
+        return phi_compromise(ensemble, ensemble.score(fragments), alpha)
 
     return _search(objective, ensemble.m, ALL_FACTORS, config)

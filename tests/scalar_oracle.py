@@ -1,17 +1,17 @@
 """The scalar criteria: one scenario and one design at a time.
 
 The stacked path (``ScenarioEnsemble.score``) is checked against these
-functions.  Each assembles one scenario's information by the one-scenario
-branch of ``augmented_info_entries`` and factors it by the single-matrix
-branch of ``cholesky``, under the same ``SINGULAR_TOL`` rule, so a singular
-or infeasible design gives the same zeros.
+functions.  Each assembles one scenario's information by calling
+``augmented_info_entries`` with a one-tuple of parameter points and factors
+it by the single-matrix branch of ``cholesky``, under the same
+``SINGULAR_TOL`` rule, so a singular or infeasible design gives the same
+zeros.
 """
 
 import numpy as np
 
-from augdesign.criteria import _new_coords
-from augdesign.glm import InvalidPredictorError
 from augdesign.information import (
+    Design,
     augmented_info_entries,
     cholesky,
     factor_log_det,
@@ -40,34 +40,38 @@ def inv_quadratic_form(a: np.ndarray) -> float:
     return float(chol[-1, -1]) ** 2
 
 
-def augmented_entries(scenario, new_coords, initial_design):
-    """Information of the initial design plus the (m, 4) new day-1 runs."""
-    s = scenario
-    base = augmented_info_entries(
-        s.spec, s.params, initial_design.coords, np.zeros(len(initial_design))
+def _entries(scenario, coords, days):
+    """One scenario's information entries, or None outside the link domain."""
+    (entries,), inside = augmented_info_entries(
+        scenario.spec, (scenario.params,), coords, days
     )
-    if new_coords.size == 0:
+    return entries if np.all(inside) else None
+
+
+def augmented_entries(scenario, new_runs, initial_design):
+    """Information of the initial design plus the new day-1 runs, a Design
+    or an (m, 4) array; None when a predictor lies outside the link domain."""
+    coords = (new_runs.coords if isinstance(new_runs, Design)
+              else np.asarray(new_runs, dtype=float))
+    base = _entries(scenario, initial_design.coords, np.zeros(len(initial_design)))
+    if base is None or coords.size == 0:
         return base
-    days = np.ones(new_coords.shape[:-1])
-    return base + augmented_info_entries(s.spec, s.params, new_coords, days)
+    add = _entries(scenario, coords, np.ones(coords.shape[:-1]))
+    return None if add is None else base + add
 
 
 def phi_D(scenario, new_runs, ensemble) -> float:
     """|I((X1, X2), s)|^(1/(p+1)) with the day-effect column; 0 if infeasible
     or singular (a log-determinant of -inf exponentiates to 0)."""
-    coords = _new_coords(new_runs)
-    try:
-        entries = augmented_entries(scenario, coords, ensemble.initial_design)
-    except InvalidPredictorError:
+    entries = augmented_entries(scenario, new_runs, ensemble.initial_design)
+    if entries is None:
         return 0.0
     return float(np.exp(log_det(entries) / entries.shape[0]))
 
 
 def phi_D1(scenario, new_runs, ensemble) -> float:
     """Inverse of the day-effect coordinate of I^{-1}; 0 if singular/infeasible."""
-    coords = _new_coords(new_runs)
-    try:
-        entries = augmented_entries(scenario, coords, ensemble.initial_design)
-    except InvalidPredictorError:
+    entries = augmented_entries(scenario, new_runs, ensemble.initial_design)
+    if entries is None:
         return 0.0
     return inv_quadratic_form(entries)

@@ -230,7 +230,8 @@ def test_criterion_3_cross_model_grid(local_ensembles):
     def with_fdv(fdv):
         coords = data.LOCAL_D_OPTIMAL["temperature"].coords
         coords[:, 3] = fdv
-        return 100 * eff_D(velocity.scenarios[0], coords, velocity)
+        design = Design.from_coords(coords, day=1)
+        return 100 * eff_D(velocity.scenarios[0], design, velocity)
 
     floor = with_fdv(0.0)
     for fdv in (-2.0, -0.5, 1.0, 2.0):
@@ -411,10 +412,11 @@ def test_criterion_8_property_suites(local_ensembles):
                       data.LOCAL_D1_OPTIMAL[name].coords]
         candidates += [rng.uniform(-2, 2, size=(4, 4)) for _ in range(5)]
         for c in candidates:
-            if eff_D(s, np.asarray(c), self_built) > 1.005:
+            design = Design.from_coords(c, day=1)
+            if eff_D(s, design, self_built) > 1.005:
                 failures.append(f"{name}: eff_D exceeds self-built optimum")
                 break
-            if eff_D1(s, np.asarray(c), self_built) > 1.005:
+            if eff_D1(s, design, self_built) > 1.005:
                 failures.append(f"{name}: eff_D1 exceeds self-built optimum")
                 break
 

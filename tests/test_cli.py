@@ -519,6 +519,26 @@ def test_non_finite_parameter_is_parse_error_naming_the_model(
     assert "model 'temperature' has a non-finite" in err
 
 
+@pytest.mark.parametrize("criterion", ["D", "bayesD"])
+def test_initial_design_outside_the_domain_is_exit_6_naming_the_model(
+    capsys, tmp_path, criterion
+):
+    # An intercept of -1 puts the initial design's centre runs at a
+    # predictor of -1, outside the identity link's domain.
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({
+        "model": data.MODELS["temperature"].to_dict(),
+        "beta": [-1.0, *data.ESTIMATES["temperature"].beta[1:]],
+        "gamma": data.ESTIMATES["temperature"].gamma,
+    }))
+    code, _, err = run_cli(
+        capsys, "design", "--criterion", criterion, "--models", str(path),
+        *TINY_SEARCH,
+    )
+    assert code == EXIT_DOMAIN
+    assert "domain error" in err and "model 'temperature'" in err
+
+
 BETA = list(data.ESTIMATES["temperature"].beta)
 NOT_A_NUMBER = (
     "model 'temperature' has a coefficient or day effect that is not a number"

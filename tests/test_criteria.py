@@ -73,6 +73,36 @@ class TestEnsemble:
         ens = ScenarioEnsemble(scenarios, data.initial_design(), 4)
         assert sum(s.weight for s in ens.scenarios) == pytest.approx(1.0)
 
+    def test_weights_whose_sum_overflows_are_normalized(self):
+        def weights(*values):
+            scenarios = [
+                Scenario(data.MODELS[n], data.ESTIMATES[n], w)
+                for n, w in zip(data.RESPONSES, values)
+            ]
+            ens = ScenarioEnsemble(scenarios, data.initial_design(), 4)
+            return [s.weight for s in ens.scenarios]
+
+        assert weights(1e308, 1e308, 1e308, 1e308) == [0.25] * 4
+        w = weights(1e308, 1e308, 1.0)
+        assert all(0.0 < v < np.inf for v in w)
+        assert sum(w) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "gammas", ["fixed", "pm10", "pm10pm20", None],
+        ids=["fixed", "pm10", "pm10pm20", "low-intercept-and-scaled-beta"],
+    )
+    def test_initial_blocks_equal_fisher_info(self, gammas):
+        # Each model's day-0 blocks are assembled in one call for all its
+        # scenarios; each equals that scenario's own information bit for bit.
+        # STACK_ENSEMBLE adds scenarios whose beta differs within a model.
+        ens = data.model_ensemble(gammas) if gammas else STACK_ENSEMBLE
+        for rows, spec, params, base in ens._groups:
+            assert base.shape[:2] == (len(params), 1)
+            for block, q in zip(base[:, 0], params):
+                assert np.array_equal(
+                    block, fisher_info(spec, q, data.initial_design())
+                )
+
     def test_initial_design_must_be_day_zero(self):
         with pytest.raises(ValueError):
             ScenarioEnsemble(
@@ -129,7 +159,7 @@ class TestPhi:
         sign, logdet = np.linalg.slogdet(info)
         assert sign == 1.0
         expect = np.exp(logdet / len(info))
-        got = PM10PM20.score_design(np.array(new_runs)).D[idx]
+        got = PM10PM20.score_design(Design.from_coords(new_runs, day=1)).D[idx]
         assert got == pytest.approx(expect, rel=1e-9)
 
     @pytest.mark.parametrize("name", data.RESPONSES)
@@ -139,44 +169,52 @@ class TestPhi:
     def test_phi_d1_matches_direct_information(self, name, new_runs, variant):
         idx, info = direct_information(name, variant, new_runs)
         expect = 1.0 / np.linalg.inv(info)[-1, -1]
-        got = PM10PM20.score_design(np.array(new_runs)).D1[idx]
+        got = PM10PM20.score_design(Design.from_coords(new_runs, day=1)).D1[idx]
         assert got == pytest.approx(expect, rel=1e-9)
 
     @pytest.mark.parametrize("flavor", ["D", "D1"], ids=["phi_D", "phi_D1"])
     def test_stack_of_designs_rejected(self, flavor):
-        # Flattening three 4-run designs would score one 12-run design.
+        # Flattening three 4-run designs would score one 12-run design:
+        # score_design takes a Design only, and score gives a stack one
+        # column per design.
         stack = np.stack([data.REFERENCE_DESIGN.coords] * 3)
-        with pytest.raises(ValueError, match="one design"):
-            getattr(PM10PM20.score_design(stack), flavor)
+        with pytest.raises(TypeError, match="got ndarray"):
+            PM10PM20.score_design(stack)
+        one = getattr(PM10PM20.score_design(data.REFERENCE_DESIGN), flavor)
+        got = getattr(PM10PM20.score(stack), flavor)
+        assert got.shape == (len(PM10PM20.scenarios), 3)
+        np.testing.assert_allclose(got, np.repeat(one[:, None], 3, axis=1),
+                                   rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize(
         "shape", [(4, 3), (4, 5), (16,), (2, 4, 3)], ids=["4x3", "4x5", "16", "2x4x3"]
     )
     def test_wrong_number_of_coordinates_rejected(self, shape):
-        # A (4, 3) array once read as a different 3-run design.
+        # A (4, 3) array once read as a different 3-run design.  Arrays
+        # are scored by ``score`` only, which takes (k, m, 4) stacks.
         ens = STACK_ENSEMBLE
         runs = np.full(shape, 0.5)
-        message = re.escape(f"got shape {shape}")
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            ens.score(runs)
+        with pytest.raises(TypeError, match="got ndarray"):
             eff_D(ens.scenarios[0], runs, ens)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(TypeError, match="got ndarray"):
             phi_bayes(ens, runs, "D1")
-        if len(shape) == 3:
-            with pytest.raises(ValueError, match=message):
-                ens.score(runs)
 
-    def test_no_new_runs_gives_zero(self):
-        ens = data.single_scenario_ensemble("temperature")
-        scores = ens.score_design(None)
-        assert scores.D[0] == 0.0
-        assert scores.D1[0] == 0.0
+    def test_no_new_runs_gives_zero(self, local_ensembles):
+        # No new runs is a stack of one design of 0 runs.
+        ens = local_ensembles["temperature"]
+        scores = ens.score(np.empty((1, 0, 4)))
+        assert eff_D(ens.scenarios[0], scores, ens).tolist() == [0.0]
+        assert eff_D1(ens.scenarios[0], scores, ens).tolist() == [0.0]
+        assert phi_bayes(ens, scores, "D").tolist() == [0.0]
 
-    @pytest.mark.parametrize("shape", [(0, 4), (0, 3), (0,)])
+    @pytest.mark.parametrize("shape", [(1, 0, 4), (2, 0, 4), (5, 0, 4)])
     def test_empty_array_is_no_new_runs(self, shape):
         ens = data.single_scenario_ensemble("temperature")
-        scores = ens.score_design(np.empty(shape))
-        assert scores.D[0] == 0.0
-        assert scores.D1[0] == 0.0
+        scores = ens.score(np.empty(shape))
+        assert np.array_equal(scores.D, np.zeros((1, shape[0])))
+        assert np.array_equal(scores.D1, np.zeros((1, shape[0])))
 
     def test_day_zero_new_runs_rejected(self):
         ens = data.single_scenario_ensemble("temperature")
@@ -419,11 +457,11 @@ class TestStacked:
         for i, s in enumerate(ens.scenarios):
             assert_same_as_scalar(scores.D[i], [phi_D(s, d, ens) for d in stack])
             assert_same_as_scalar(scores.D1[i], [phi_D1(s, d, ens) for d in stack])
-        assert_criteria_are_scalar(ens, stack, scalar_criteria(ens, stack))
+        assert_criteria_are_scalar(ens, scores, scalar_criteria(ens, stack))
 
     def test_infeasible_design_scores_zero_in_a_stack(self):
         ens = STACK_ENSEMBLE
-        values = eff_D(LOW, CORNER_STACK, ens)
+        values = eff_D(LOW, ens.score(CORNER_STACK), ens)
         assert values[-1] > 0.0
         assert np.any(values[:-1] == 0.0)
         opt = ens.cache[ens.scenarios.index(LOW)].phi_d_at_d_opt
@@ -498,8 +536,7 @@ class TestStacked:
 
 
 # Up to three designs, box corners among them, and a sequence of calls that
-# each pass one of them as a fresh Design, the pool's own Design object, a
-# copy of its array or the pool's own array.
+# each pass one of them as a fresh Design or the pool's own Design object.
 design_pool = st.lists(
     st.one_of(
         arrays(np.float64, (4, 4), elements=coordinate),
@@ -507,7 +544,7 @@ design_pool = st.lists(
     ),
     min_size=1, max_size=3,
 )
-design_forms = ("new Design", "same Design", "new array", "same array")
+design_forms = ("new Design", "same Design")
 
 
 class TestKeptDesign:
@@ -530,32 +567,20 @@ class TestKeptDesign:
             new_runs = {
                 "new Design": lambda: Design.from_coords(pool[j], day=1),
                 "same Design": lambda: designs[j],
-                "new array": lambda: pool[j].copy(),
-                "same array": lambda: pool[j],
             }[form]()
             assert_criteria_are_scalar(ens, new_runs, expected, j)
-
-    def test_array_changed_in_place_is_scored_again(self):
-        ens = STACK_ENSEMBLE
-        s = ens.scenarios[0]
-        opt = ens.cache[0].phi_d_at_d_opt
-        runs = data.REFERENCE_DESIGN.coords
-        before = eff_D(s, runs, ens)
-        runs[0] = [2.0, -2.0, 2.0, -2.0]
-        after = eff_D(s, runs, ens)
-        assert after != before
-        assert after == pytest.approx(phi_D(s, runs, ens) / opt, rel=1e-12)
 
     def test_day_zero_design_with_the_kept_coordinates_rejected(self):
         ens = STACK_ENSEMBLE
         s = ens.scenarios[0]
         coords = data.REFERENCE_DESIGN.coords
-        kept = eff_D(s, Design.from_coords(coords, day=1), ens)
+        design = Design.from_coords(coords, day=1)
+        kept = eff_D(s, design, ens)
         with pytest.raises(ValueError, match="day=1"):
             eff_D(s, Design.from_coords(coords, day=0), ens)
-        assert eff_D(s, coords, ens) == kept
+        assert eff_D(s, design, ens) == kept
 
-    @pytest.mark.parametrize("form", ["Design", "array"])
+    @pytest.mark.parametrize("form", ["Design"])
     def test_full_table_scores_the_design_once(self, monkeypatch, form):
         ens = data.model_ensemble("pm10")
         for i, s in enumerate(ens.scenarios):
@@ -563,9 +588,7 @@ class TestKeptDesign:
                 i, data.LOCAL_D_OPTIMAL[s.spec.name],
                 data.LOCAL_D1_OPTIMAL[s.spec.name],
             )
-        new_runs = data.BAYES_D_FIXED.coords
-        if form == "Design":
-            new_runs = Design.from_coords(new_runs, day=1)
+        new_runs = Design.from_coords(data.BAYES_D_FIXED.coords, day=1)
         calls = []
         score, new_coords = ScenarioEnsemble.score, criteria._new_coords
 
@@ -585,9 +608,8 @@ class TestKeptDesign:
         phi_bayes(ens, new_runs, "D")
         phi_bayes(ens, new_runs, "D1")
         assert calls.count("score") == 1
-        # A repeated Design is matched by identity; an array is compared.
-        S = len(ens.scenarios)
-        assert calls.count("coords") == (1 if form == "Design" else 2 * S + 2)
+        # A repeated Design is matched by identity.
+        assert calls.count("coords") == 1
 
 
 _AFFINE_CACHE = []

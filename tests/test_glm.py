@@ -198,3 +198,12 @@ class TestLinearPredictor:
                 data.MODELS["temperature"], ParamPoint((1.0,), 0.0),
                 Design((Run((0, 0, 0, 0)),)),
             )
+
+    @pytest.mark.parametrize("with_day_effect", [True, False])
+    def test_predictor_outside_the_domain_names_the_model(self, with_day_effect):
+        # An intercept of -1 gives the centre run a predictor of -1.
+        base = data.ESTIMATES["temperature"]
+        params = ParamPoint((-1.0, *base.beta[1:]), base.gamma)
+        with pytest.raises(InvalidPredictorError, match="model 'temperature'"):
+            fisher_info(data.MODELS["temperature"], params, data.initial_design(),
+                        with_day_effect=with_day_effect)
