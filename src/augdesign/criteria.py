@@ -10,13 +10,14 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .glm import InvalidPredictorError, ModelSpec, ParamPoint
+from .glm import ModelSpec, ParamPoint
 from .information import (
     Design,
     augmented_info_entries,
     cholesky,
     factor_last_pivot_sq,
     factor_log_det,
+    require_inside,
 )
 
 
@@ -108,6 +109,10 @@ class ScenarioEnsemble:
         # Dividing by the largest weight first keeps the sum finite.
         top = max(s.weight for s in scenarios)
         total = sum(s.weight / top for s in scenarios)
+        for s in scenarios:
+            if s.weight / top / total == 0.0:
+                raise ValueError("scenario weights span too wide a range to normalise: "
+                                 f"model {s.spec.name!r} has weight {s.weight!r}")
         self.scenarios = [
             Scenario(s.spec, s.params, s.weight / top / total) for s in scenarios
         ]
@@ -135,11 +140,7 @@ class ScenarioEnsemble:
             spec = self.scenarios[r[0]].spec
             params = tuple(self.scenarios[i].params for i in r)
             base, inside = augmented_info_entries(spec, params, coords, days)
-            if not np.all(inside):
-                raise InvalidPredictorError(
-                    f"the initial design lies outside the {spec.link.value} "
-                    f"link's domain under model {spec.name!r}"
-                )
+            require_inside(spec, inside, "the initial design")
             r = slice(r[0], r[-1] + 1) if r[-1] - r[0] == len(r) - 1 else np.array(r)
             self._groups.append((r, spec, params, base[:, None]))
 
@@ -205,22 +206,13 @@ def _score_model(spec: ModelSpec, params: tuple, base: np.ndarray,
     as two (S, k) arrays with the (S, k) mask of the values that stand; the
     others score 0.
 
-    One assembly call and one Cholesky call give both criteria.  A design
-    outside a scenario's link domain is masked for that scenario only.
-    numpy rejects a stack as a whole, so a stack holding a matrix that is
-    not positive definite is factored one matrix at a time, and that matrix
-    is masked.
+    One assembly call and one ``cholesky`` call give both criteria.  A
+    singular matrix, or a design outside a scenario's link domain, is masked
+    for that scenario only.
     """
     add, feasible = augmented_info_entries(spec, params, stack, days)
     n = base.shape[-1]
-    entries = (base + add).reshape(-1, n, n)
-    try:
-        chol, ok = cholesky(entries)
-    except np.linalg.LinAlgError:
-        factors = [cholesky(a) for a in entries]
-        ok = np.array([f is not None for f in factors])
-        # The identity stands in for a missing factor; the mask zeroes it.
-        chol = np.array([np.eye(n) if f is None else f for f in factors])
+    chol, ok = cholesky((base + add).reshape(-1, n, n))
     shape = (len(params), len(stack))
     values = (np.exp(factor_log_det(chol) / n).reshape(shape),
               factor_last_pivot_sq(chol).reshape(shape))

@@ -214,9 +214,7 @@ def _starting_point(link: Link, Z: np.ndarray, y: np.ndarray) -> np.ndarray:
     OLS start lies outside the link's domain."""
     target = link.eta(y)
     beta = np.linalg.lstsq(Z, target, rcond=None)[0]
-    try:
-        link.mean(Z @ beta)
-    except InvalidPredictorError:
+    if link.outside_domain(Z @ beta).any():
         beta = np.zeros(Z.shape[1])
         beta[0] = float(np.mean(target))
     return beta
@@ -224,8 +222,8 @@ def _starting_point(link: Link, Z: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _information_factor(info: np.ndarray) -> np.ndarray:
     """Cholesky factor of the information, by the criteria's singularity rule."""
-    chol = cholesky(info)
-    if chol is None:
+    (chol,), (ok,) = cholesky(info[None])
+    if not ok:
         raise RankDeficientError("expected information is singular")
     return chol
 
@@ -352,8 +350,8 @@ def observed_efficiency(fit_a: FittedModel, fit_b: FittedModel) -> float:
         raise ValueError("fits must share the same model")
     if (fit_a.gamma_hat is None) != (fit_b.gamma_hat is None):
         raise ValueError("fits must share the day-effect structure")
-    chol_a, chol_b = cholesky(fit_a.covariance), cholesky(fit_b.covariance)
-    if chol_a is None or chol_b is None:
+    chol, ok = cholesky(np.stack([fit_a.covariance, fit_b.covariance]))
+    if not ok.all():
         raise RankDeficientError("covariance matrix is not positive definite")
-    ld_a, ld_b = factor_log_det(chol_a), factor_log_det(chol_b)
+    ld_a, ld_b = factor_log_det(chol)
     return float(math.exp((ld_b - ld_a) / fit_a.covariance.shape[0]))

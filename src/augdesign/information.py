@@ -68,6 +68,10 @@ class Design:
     @staticmethod
     def from_coords(coords, day: int = 0) -> "Design":
         arr = np.atleast_2d(np.asarray(coords, dtype=float))
+        if arr.ndim != 2 or arr.shape[1] != len(GLOBAL_FACTORS):
+            raise ValueError(
+                f"a design's coordinates are an (n, 4) array, got shape {arr.shape}"
+            )
         return Design(tuple(Run(tuple(row), day) for row in arr))
 
 
@@ -151,6 +155,13 @@ def augmented_info_entries(
     return (Zs * w[..., None]).swapaxes(-1, -2) @ Zs, inside
 
 
+def require_inside(spec: ModelSpec, inside, what: str) -> None:
+    """Raise ``InvalidPredictorError`` unless the domain mask is all True."""
+    if not np.all(inside):
+        raise InvalidPredictorError(f"{what} lies outside the {spec.link.value} "
+                                    f"link's domain under model {spec.name!r}")
+
+
 def fisher_info(
     spec: ModelSpec,
     params: ParamPoint,
@@ -176,11 +187,7 @@ def fisher_info(
         # information.
         params, days = ParamPoint(params.beta, 0.0), np.zeros(len(design))
     (entries,), inside = augmented_info_entries(spec, (params,), design.coords, days)
-    if not np.all(inside):
-        raise InvalidPredictorError(
-            f"the design lies outside the {spec.link.value} link's domain "
-            f"under model {spec.name!r}"
-        )
+    require_inside(spec, inside, "the design")
     return entries if with_day_effect else entries[:-1, :-1]
 
 
@@ -194,23 +201,25 @@ def _nonsingular(a: np.ndarray, chol: np.ndarray):
 
 
 def cholesky(a: np.ndarray):
-    """Lower Cholesky factor of ``a``, or None when ``a`` is numerically singular.
+    """Lower Cholesky factors of a (k, n, n) stack, with the length-k mask of
+    the nonsingular ones: those that factor and pass the SINGULAR_TOL test.
 
-    A (k, n, n) stack is factored in one call and gives the (k, n, n)
-    factors with a length-k mask of the nonsingular ones.  numpy rejects a
-    stack as a whole: it raises ``LinAlgError`` when any matrix in it is not
-    positive definite.
+    numpy rejects a stack as a whole: it raises ``LinAlgError`` when any
+    matrix in it is not positive definite.  The stack is then factored one
+    matrix at a time, and a matrix that does not factor gets the identity
+    and False.
     """
-    if a.ndim > 2:
-        chol = np.linalg.cholesky(a)
-        return chol, _nonsingular(a, chol)
-    if a.size == 0:
-        return None
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        return None
-    return chol if _nonsingular(a, chol) else None
+        chol, factored = np.empty_like(a), np.ones(len(a), dtype=bool)
+        for i, one in enumerate(a):
+            try:
+                chol[i] = np.linalg.cholesky(one)
+            except np.linalg.LinAlgError:
+                chol[i], factored[i] = np.eye(len(one)), False
+        return chol, factored & _nonsingular(a, chol)
+    return chol, _nonsingular(a, chol)
 
 
 def factor_log_det(chol: np.ndarray):

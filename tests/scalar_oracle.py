@@ -3,21 +3,36 @@
 The stacked path (``ScenarioEnsemble.score``) is checked against these
 functions.  Each assembles one scenario's information by calling
 ``augmented_info_entries`` with a one-tuple of parameter points and factors
-it by the single-matrix branch of ``cholesky``, under the same
-``SINGULAR_TOL`` rule, so a singular or infeasible design gives the same
-zeros.
+it by ``cholesky`` below, under the same ``SINGULAR_TOL`` rule, so a
+singular or infeasible design gives the same zeros.
+
+``cholesky`` here is the single-matrix reference: one ``np.linalg.cholesky``
+call on one matrix, None when it is singular.  The package's
+``information.cholesky`` takes only a (k, n, n) stack and always returns
+factors and a mask; the tests compare it against this function matrix by
+matrix.
 """
 
 import numpy as np
 
 from augdesign.information import (
     Design,
+    _nonsingular,
     augmented_info_entries,
-    cholesky,
     factor_log_det,
 )
 
 MINUS_INF = float("-inf")
+
+
+def cholesky(a: np.ndarray):
+    """Lower Cholesky factor of one matrix, or None when it does not factor
+    or fails the singularity test."""
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    return chol if _nonsingular(a, chol) else None
 
 
 def log_det(a: np.ndarray) -> float:

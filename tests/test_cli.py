@@ -22,6 +22,7 @@ from augdesign.cli import (
     EXIT_CACHE,
     EXIT_DIMENSION,
     EXIT_DOMAIN,
+    EXIT_FIT,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
@@ -120,6 +121,16 @@ class TestFitCommand:
         )
         assert code == EXIT_USAGE
         assert predict_err == fit_err
+
+    def test_singular_information_is_fit_error(self, capsys, tmp_path):
+        # Twelve runs at one point cannot identify the five coefficients.
+        flat = tmp_path / "flat.csv"
+        flat.write_text("L,K,D,FDV,temperature\n" + "0,0,0,0,100\n" * 12)
+        code, _, err = run_cli(
+            capsys, "fit", "--bundled", "temperature", "--data", str(flat)
+        )
+        assert code == EXIT_FIT
+        assert "fit error: expected information is singular" in err
 
     def test_link_override_worsens_bic(self, capsys):
         code, stdout, _ = run_cli(

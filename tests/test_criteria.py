@@ -87,6 +87,17 @@ class TestEnsemble:
         assert all(0.0 < v < np.inf for v in w)
         assert sum(w) == pytest.approx(1.0)
 
+    def test_weights_spanning_too_wide_a_range_are_rejected(self):
+        # 1e-308 / 1e308 underflows to 0, a weight the caller never passed.
+        scenarios = [
+            Scenario(data.MODELS["temperature"], data.ESTIMATES["temperature"], 1e308),
+            Scenario(data.MODELS["velocity"], data.ESTIMATES["velocity"], 1e-308),
+        ]
+        with pytest.raises(
+            ValueError, match="span too wide a range to normalise: model 'velocity'"
+        ):
+            ScenarioEnsemble(scenarios, data.initial_design(), 4)
+
     @pytest.mark.parametrize(
         "gammas", ["fixed", "pm10", "pm10pm20", None],
         ids=["fixed", "pm10", "pm10pm20", "low-intercept-and-scaled-beta"],
@@ -419,10 +430,10 @@ def assert_criteria_are_scalar(ens, new_runs, expected, column=slice(None)):
 
 
 def count_single_matrix_factorizations(monkeypatch):
-    """Record the model of every single-matrix ``cholesky`` call the
-    criteria module makes, one per matrix factored outside a stack."""
+    """Record the model of every ``np.linalg.cholesky`` call on one matrix
+    that scoring makes, one per matrix factored outside a stack."""
     calls, models = [], []
-    score_model, cholesky = criteria._score_model, criteria.cholesky
+    score_model, cholesky = criteria._score_model, np.linalg.cholesky
 
     def counted_score_model(spec, *args):
         models.append(spec.name)
@@ -437,7 +448,7 @@ def count_single_matrix_factorizations(monkeypatch):
         return cholesky(a)
 
     monkeypatch.setattr(criteria, "_score_model", counted_score_model)
-    monkeypatch.setattr(criteria, "cholesky", counted_cholesky)
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     return calls
 
 

@@ -23,9 +23,9 @@ from augdesign import (
     prediction_error,
 )
 from augdesign import data
-from augdesign.estimation import gamma_log_likelihood
-from augdesign.information import cholesky
+from augdesign.estimation import _starting_point, gamma_log_likelihood
 from augdesign.glm import regressor_matrix
+from scalar_oracle import cholesky
 
 TOLERANCES = {
     "temperature": 1e-2,
@@ -307,3 +307,28 @@ class TestObservedEfficiency:
         b = fit(data.MODELS["velocity"], data.ccd_dataset(), "velocity")
         with pytest.raises(ValueError):
             observed_efficiency(a, b)
+
+    @pytest.mark.parametrize("which", ["first", "second"])
+    @pytest.mark.parametrize("fill", [0.0, np.nan], ids=["zero", "nan"])
+    def test_singular_covariance_rejected(self, which, fill):
+        import dataclasses
+
+        model = fit(data.MODELS["temperature"], data.ccd_dataset(), "temperature")
+        covariance = model.covariance.copy()
+        covariance[-1, -1] = fill
+        bad = dataclasses.replace(model, covariance=covariance)
+        pair = (bad, model) if which == "first" else (model, bad)
+        with pytest.raises(RankDeficientError, match="not positive definite"):
+            observed_efficiency(*pair)
+
+
+class TestStartingPoint:
+    def test_ols_start_outside_the_domain_falls_back_to_the_mean(self):
+        Z = np.column_stack([np.ones(5), [-1.0, -1.0, 0.0, 0.0, 1.0]])
+        y = np.array([100.0, 100.0, 1.0, 1.0, 1.0])
+        # The OLS line is negative at the last run.
+        assert (Z @ np.linalg.lstsq(Z, y, rcond=None)[0])[-1] < 0.0
+        assert _starting_point(Link.IDENTITY, Z, y).tolist() == [np.mean(y), 0.0]
+        # Under the log link every predictor lies in the domain.
+        ols = np.linalg.lstsq(Z, np.log(y), rcond=None)[0]
+        assert np.array_equal(_starting_point(Link.LOG, Z, y), ols)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ from augdesign import data
 from augdesign.information import SINGULAR_TOL, _nonsingular, cholesky
 from mp_oracle import mp_info
 from scalar_oracle import MINUS_INF, inv_quadratic_form, log_det
+from scalar_oracle import cholesky as reference_cholesky
 
 
 def full_design(response="temperature"):
@@ -96,7 +98,8 @@ def test_nan_matrix_is_singular():
     info[2, 2] = np.nan
     assert log_det(info) == MINUS_INF
     assert inv_quadratic_form(info) == 0.0
-    assert cholesky(info) is None
+    assert reference_cholesky(info) is None
+    assert cholesky(info[None])[1].tolist() == [False]
 
 
 def test_stacked_cholesky_matches_one_matrix_at_a_time():
@@ -113,9 +116,9 @@ def test_stacked_cholesky_matches_one_matrix_at_a_time():
     assert ok.tolist() == [True, False, False, True]
     for a, factor, good in zip(stack, chol, ok):
         if good:
-            assert np.array_equal(factor, cholesky(a))
+            assert np.array_equal(factor, reference_cholesky(a))
         else:
-            assert cholesky(a) is None
+            assert reference_cholesky(a) is None
 
 
 def reference_nonsingular(a, chol):
@@ -150,10 +153,70 @@ def test_singularity_mask_matches_its_formula(pair):
         assert _nonsingular(one, factor) == reference_nonsingular(one, factor)
 
 
-def test_stacked_cholesky_rejects_a_stack_with_an_indefinite_matrix():
-    stack = np.stack([np.eye(3), -np.eye(3)])
+def test_stacked_cholesky_masks_only_an_indefinite_matrix():
+    full = fisher_info(
+        data.MODELS["flame_width"], data.ESTIMATES["flame_width"], full_design()
+    )
+    stack = np.stack([full, -full, 2.0 * full])
+    # numpy rejects the stack as a whole; cholesky masks the one matrix.
     with pytest.raises(np.linalg.LinAlgError):
-        cholesky(stack)
+        np.linalg.cholesky(stack)
+    chol, ok = cholesky(stack)
+    assert ok.tolist() == [True, False, True]
+    assert np.array_equal(chol[[0, 2]], np.linalg.cholesky(stack[[0, 2]]))
+    assert np.array_equal(chol[1], np.eye(len(full)))
+
+
+MATRIX_KINDS = (
+    "positive definite", "tiny pivot", "nan", "indefinite first",
+    "indefinite last",
+)
+
+
+def matrix_of_kind(x, kind):
+    """A symmetric matrix built from the square array ``x``: x x^T + I, with
+    its last row and column scaled by 1e-8 (positive definite, but a pivot
+    below the SINGULAR_TOL test for n > 1), a NaN on the diagonal, or a
+    negative first or last pivot."""
+    n = len(x)
+    a = x @ x.T + np.eye(n)
+    if kind == "tiny pivot":
+        scaled = np.ones(n)
+        scaled[-1] = 1e-8
+        a *= np.outer(scaled, scaled)
+    elif kind == "nan":
+        a[n // 2, n // 2] = np.nan
+    elif kind == "indefinite first":
+        a[0, 0] = -1.0
+    elif kind == "indefinite last":
+        a[-1, -1] -= np.trace(a) + 1.0
+    return a
+
+
+mixed_stacks = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.tuples(
+            arrays(np.float64, (n, n), elements=st.floats(-3, 3)),
+            st.sampled_from(MATRIX_KINDS),
+        ),
+        min_size=1, max_size=6,
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(items=mixed_stacks)
+@example(items=[(np.eye(3), kind) for kind in MATRIX_KINDS[:3]])
+@example(items=[(np.eye(3), kind) for kind in MATRIX_KINDS])
+def test_stacked_cholesky_matches_the_single_matrix_reference(items):
+    stack = np.stack([matrix_of_kind(x, kind) for x, kind in items])
+    chol, ok = cholesky(stack)
+    assert chol.shape == stack.shape and ok.shape == (len(stack),)
+    for a, factor, good in zip(stack, chol, ok):
+        reference = reference_cholesky(a)
+        assert good == (reference is not None)
+        if good:
+            assert np.array_equal(factor, reference)
 
 
 def test_inv_quadratic_form_matches_determinant_ratio():
@@ -193,3 +256,11 @@ def test_design_split_and_concat():
 def test_empty_design_rejected():
     with pytest.raises(ValueError):
         Design(())
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 4, 4), (1, 1, 4), (4, 3), (4, 5)], ids=["2x4x4", "1x1x4", "4x3", "4x5"]
+)
+def test_design_from_coords_names_a_wrong_shape(shape):
+    with pytest.raises(ValueError, match=re.escape(f"(n, 4) array, got shape {shape}")):
+        Design.from_coords(np.zeros(shape), day=1)
