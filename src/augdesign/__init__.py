@@ -35,7 +35,6 @@ from .glm import (
     MissingGammaError,
     ModelSpec,
     ParamPoint,
-    Run,
     Term,
     TermKind,
     regressor_matrix,

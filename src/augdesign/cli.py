@@ -89,7 +89,7 @@ def _parse_json(path: str, parse):
 def _new_runs(path: str) -> Design:
     """A design file of new runs, which must all carry day=1."""
     design = Design.from_csv(_read(path))
-    if any(r.day == 0 for r in design.runs):
+    if (design.days == 0).any():
         raise UsageError(
             f"{path} has a day-0 run, but only new day-1 runs can be scored "
             "(a missing day column reads as day 0)"
@@ -212,7 +212,10 @@ def cmd_design(args) -> int:
     if args.m == 0:
         print("warning: m=0 requested; empty design, criterion value 0")
         if args.out:
-            _write(args.out, write_csv(()))
+            _write(args.out, write_csv((), ()))
+        if args.report:
+            report = {"criterion": args.criterion, "value": 0.0, "evaluations": 0}
+            _write(args.report, json.dumps(report, indent=2))
         return EXIT_OK
 
     if args.criterion in ("D", "D1"):
@@ -287,7 +290,7 @@ def cmd_predict(args) -> int:
     _check_response(dataset, response)
     observed = dataset.responses[response]
     predicted = predict(model, dataset)
-    csv_text = write_csv(dataset.runs, {
+    csv_text = write_csv(dataset.coords, dataset.days, {
         "observed": observed,
         "predicted": predicted,
         "residual": predicted - observed,

@@ -104,7 +104,7 @@ class ScenarioEnsemble:
     def __init__(self, scenarios: list[Scenario], initial_design: Design, m: int):
         if not scenarios:
             raise ValueError("ensemble needs at least one scenario")
-        if any(r.day != 0 for r in initial_design.runs):
+        if (initial_design.days != 0).any():
             raise ValueError("initial design must be all day-0 runs")
         # Dividing by the largest weight first keeps the sum finite.
         top = max(s.weight for s in scenarios)
@@ -232,7 +232,7 @@ def _new_coords(design: Design) -> np.ndarray:
         raise TypeError(
             f"new runs must be a Design or StackScores, got {type(design).__name__}"
         )
-    if any(r.day != 1 for r in design.runs):
+    if (design.days != 1).any():
         raise ValueError("new runs must all carry day=1")
     return design.coords
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .criteria import Scenario, ScenarioEnsemble
 from .estimation import Dataset
-from .glm import Link, ModelSpec, ParamPoint, Run, Term
+from .glm import Link, ModelSpec, ParamPoint, Term
 from .information import Design
 
 RESPONSES = ("temperature", "velocity", "flame_width", "flame_intensity")
@@ -251,9 +251,8 @@ def initial_design() -> Design:
 
 
 def _dataset(table: np.ndarray, day: int) -> Dataset:
-    runs = tuple(Run(tuple(row), day) for row in table[:, :4])
     responses = {name: table[:, 4 + i].copy() for i, name in enumerate(RESPONSES)}
-    return Dataset(runs=runs, responses=responses)
+    return Dataset(table[:, :4], np.full(len(table), day), responses)
 
 
 def ccd_dataset() -> Dataset:

@@ -26,7 +26,7 @@ from .glm import (
     regressor_matrix,
 )
 from .information import (
-    Design, cholesky, factor_log_det, read_csv, write_csv,
+    Design, cholesky, factor_log_det, read_csv, require_inside, write_csv,
 )
 
 MAX_SCORING_ITERATIONS = 100
@@ -48,7 +48,7 @@ class RankDeficientError(ValueError):
     """The model matrix does not have full column rank."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset(Design):
     """A design with one positive response value per run and response name."""
 
@@ -56,7 +56,7 @@ class Dataset(Design):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        n = len(self.runs)
+        n = len(self)
         # A new dict, so the caller's mapping is left as it was passed.
         object.__setattr__(self, "responses", {
             name: np.asarray(values, dtype=float)
@@ -72,10 +72,10 @@ class Dataset(Design):
 
     def __eq__(self, other) -> bool:
         """Same runs and responses (names and values); still unhashable."""
-        if not isinstance(other, Dataset):
+        if other.__class__ is not self.__class__:
             return NotImplemented
         return (
-            self.runs == other.runs
+            Design.__eq__(self, other)
             and self.responses.keys() == other.responses.keys()
             and all(np.array_equal(values, other.responses[name])
                     for name, values in self.responses.items())
@@ -88,18 +88,19 @@ class Dataset(Design):
             name: np.concatenate([self.responses[name], other.responses[name]])
             for name in self.responses
         }
-        return Dataset(self.runs + other.runs, merged)
+        runs = super().concat(other)
+        return Dataset(runs.coords, runs.days, merged)
 
     def to_csv(self) -> str:
-        return write_csv(self.runs, self.responses)
+        return write_csv(self.coords, self.days, self.responses)
 
     @staticmethod
     def from_csv(text: str) -> "Dataset":
         """Every column other than run, the factors and day is a response."""
-        runs, responses = read_csv(text, responses=True)
+        coords, days, responses = read_csv(text, responses=True)
         if not responses:
             raise ValueError("dataset CSV has no response columns")
-        return Dataset(runs, responses)
+        return Dataset(coords, days, responses)
 
 
 def _is_real(value) -> bool:
@@ -318,13 +319,13 @@ def fit(
 
 def predict(model: FittedModel, design: Design) -> np.ndarray:
     """Fitted Gamma means at the runs of a design."""
-    days = design.days
-    if model.gamma_hat is None and np.any(days != 0):
+    if model.gamma_hat is None and np.any(design.days != 0):
         raise MissingGammaError("model has no day effect but a run has day=1")
     Z = regressor_matrix(model.spec, design.coords)
     eta = Z @ np.asarray(model.beta_hat)
     if model.gamma_hat is not None:
-        eta = eta + days * model.gamma_hat
+        eta = eta + design.days * model.gamma_hat
+    require_inside(model.spec, ~model.spec.link.outside_domain(eta), "the design")
     return model.spec.link.mean(eta)
 
 

@@ -223,23 +223,6 @@ class ParamPoint:
     gamma: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class Run:
-    """One experimental condition: all four coordinates plus the day flag."""
-
-    coords: tuple[float, float, float, float]
-    day: int = 0
-
-    def __post_init__(self) -> None:
-        if len(self.coords) != len(GLOBAL_FACTORS):
-            raise ValueError("a run carries one coordinate per global factor")
-        for c in self.coords:
-            if not (COORD_MIN <= c <= COORD_MAX):
-                raise ValueError(f"coordinate {c} outside [{COORD_MIN}, {COORD_MAX}]")
-        if self.day not in (0, 1):
-            raise ValueError("day flag must be 0 or 1")
-
-
 def regressor_matrix(spec: ModelSpec, coords: np.ndarray) -> np.ndarray:
     """(n, p) regressors over an (n, 4) array of global coordinates: each
     term is the product of its two slots of [1, L, K, D, FDV].  The result

@@ -10,12 +10,13 @@ from typing import Sequence
 import numpy as np
 
 from .glm import (
+    COORD_MAX,
+    COORD_MIN,
     GLOBAL_FACTORS,
     InvalidPredictorError,
     MissingGammaError,
     ModelSpec,
     ParamPoint,
-    Run,
     regressor_matrix,
 )
 
@@ -25,68 +26,81 @@ from .glm import (
 SINGULAR_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Design:
-    """An ordered list of runs; may mix fixed day-0 and new day-1 runs."""
+    """An ordered list of runs as two read-only arrays: ``coords`` (n, 4) over
+    the global factors and ``days`` (n,) of day flags.  It may mix fixed
+    day-0 and new day-1 runs.  Designs with equal arrays are equal; a Design
+    is not hashable."""
 
-    runs: tuple[Run, ...]
+    coords: np.ndarray
+    days: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.runs:
+        coords, days = np.array(self.coords, dtype=float), np.array(self.days)
+        if coords.ndim != 2 or coords.shape[1] != len(GLOBAL_FACTORS):
+            raise ValueError(
+                f"a design's coordinates are an (n, 4) array, got shape {coords.shape}"
+            )
+        if not len(coords):
             raise ValueError("a design must contain at least one run")
+        # min and max are NaN when a coordinate is, which fails both tests.
+        if not (COORD_MIN <= coords.min() and coords.max() <= COORD_MAX):
+            bad = coords[~((coords >= COORD_MIN) & (coords <= COORD_MAX))][0]
+            raise ValueError(f"coordinate {bad} outside [{COORD_MIN}, {COORD_MAX}]")
+        if days.shape != coords.shape[:1]:
+            raise ValueError(f"a design needs one day flag per run, got {days.shape}")
+        if not set(days.tolist()) <= {0, 1}:
+            raise ValueError("day flag must be 0 or 1")
+        days = days.astype(int, copy=False)
+        coords.flags.writeable = days.flags.writeable = False
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "days", days)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (np.array_equal(self.coords, other.coords)
+                and np.array_equal(self.days, other.days))
 
     def __len__(self) -> int:
-        return len(self.runs)
-
-    @property
-    def coords(self) -> np.ndarray:
-        return np.array([r.coords for r in self.runs])
-
-    @property
-    def days(self) -> np.ndarray:
-        return np.array([r.day for r in self.runs])
+        return len(self.days)
 
     def split(self) -> tuple["Design | None", "Design | None"]:
         """Partition into the initial (day-0) and new (day-1) blocks."""
-        first = tuple(r for r in self.runs if r.day == 0)
-        second = tuple(r for r in self.runs if r.day == 1)
-        return (
-            Design(first) if first else None,
-            Design(second) if second else None,
-        )
+        return tuple(Design(self.coords[b], self.days[b]) if b.any() else None
+                     for b in (self.days == 0, self.days == 1))
 
     def concat(self, other: "Design") -> "Design":
-        return Design(self.runs + other.runs)
+        return Design(np.concatenate([self.coords, other.coords]),
+                      np.concatenate([self.days, other.days]))
 
     def to_csv(self) -> str:
-        return write_csv(self.runs)
+        return write_csv(self.coords, self.days)
 
     @staticmethod
     def from_csv(text: str) -> "Design":
-        return Design(read_csv(text)[0])
+        return Design(*read_csv(text)[:2])
 
     @staticmethod
     def from_coords(coords, day: int = 0) -> "Design":
-        arr = np.atleast_2d(np.asarray(coords, dtype=float))
-        if arr.ndim != 2 or arr.shape[1] != len(GLOBAL_FACTORS):
-            raise ValueError(
-                f"a design's coordinates are an (n, 4) array, got shape {arr.shape}"
-            )
-        return Design(tuple(Run(tuple(row), day) for row in arr))
+        """The runs of an (n, 4) array, or of one 4-vector, all on ``day``."""
+        coords = np.atleast_2d(coords)
+        return Design(coords, [day] * len(coords))
 
 
-def write_csv(runs, columns: dict[str, np.ndarray] | None = None) -> str:
+def write_csv(coords, days, columns: dict[str, np.ndarray] | None = None) -> str:
     """Runs as CSV: run number, the factors, day, then one column per entry of
     ``columns`` with one value per run."""
     columns = columns or {}
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["run", *GLOBAL_FACTORS, "day", *columns])
-    for i, r in enumerate(runs):
+    for i, (row, day) in enumerate(zip(coords, days)):
         writer.writerow(
             [i + 1,
-             *(format(c, ".10g") for c in r.coords),
-             r.day,
+             *(format(c, ".10g") for c in row),
+             day,
              *(format(v[i], ".10g") for v in columns.values())]
         )
     return buf.getvalue()
@@ -94,24 +108,25 @@ def write_csv(runs, columns: dict[str, np.ndarray] | None = None) -> str:
 
 def read_csv(
     text: str, responses: bool = False
-) -> tuple[tuple[Run, ...], dict[str, list[float]]]:
-    """Runs of a CSV in the ``write_csv`` layout.  With ``responses``, every
-    column other than run, the factors and day is also read as numbers, one
-    value per run; without, those columns are ignored.  A missing ``day``
-    column reads as day 0, and an error names the line of the bad cell."""
+) -> tuple[np.ndarray, np.ndarray, dict[str, list[float]]]:
+    """The (n, 4) coordinates and (n,) day flags of a CSV in the ``write_csv``
+    layout.  With ``responses``, every column other than run, the factors and
+    day is also read as numbers, one value per run; without, those columns
+    are ignored.  A missing ``day`` column reads as day 0, and an error names
+    the line of the bad cell."""
     reader = csv.DictReader(io.StringIO(text))
     skip = ("run", "day", *GLOBAL_FACTORS)
     names = [f for f in reader.fieldnames or () if f not in skip]
-    runs, columns = [], ({n: [] for n in names} if responses else {})
+    coords, days, columns = [], [], ({n: [] for n in names} if responses else {})
     for line, row in enumerate(reader, start=2):
         try:
-            coords = tuple(float(row[f]) for f in GLOBAL_FACTORS)
-            runs.append(Run(coords, int(row.get("day") or 0)))
+            coords.append([float(row[f]) for f in GLOBAL_FACTORS])
+            days.append(int(row.get("day") or 0))
             for n, values in columns.items():
                 values.append(float(row[n]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"CSV line {line}: {exc}") from exc
-    return tuple(runs), columns
+    return np.reshape(coords, (-1, len(GLOBAL_FACTORS))), np.array(days, int), columns
 
 
 def augmented_info_entries(

@@ -188,8 +188,6 @@ def solve_local(
     """
     if flavor not in ("D", "D1"):
         raise ValueError("flavor must be 'D' or 'D1'")
-    if m == 0:
-        return SearchResult(None, 0.0, ((0.0,),), 0)
     ensemble = ScenarioEnsemble([scenario], initial_design, m)
     indices = scenario.spec.global_indices
 

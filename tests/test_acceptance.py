@@ -228,7 +228,7 @@ def test_criterion_3_cross_model_grid(local_ensembles):
     velocity = local_ensembles["velocity"]
 
     def with_fdv(fdv):
-        coords = data.LOCAL_D_OPTIMAL["temperature"].coords
+        coords = data.LOCAL_D_OPTIMAL["temperature"].coords.copy()
         coords[:, 3] = fdv
         design = Design.from_coords(coords, day=1)
         return 100 * eff_D(velocity.scenarios[0], design, velocity)
@@ -337,7 +337,8 @@ def test_criterion_8_property_suites(local_ensembles):
     spec, params = data.MODELS["velocity"], data.ESTIMATES["velocity"]
     full = data.initial_design().concat(data.REFERENCE_DESIGN)
     rng = np.random.default_rng(11)
-    shuffled = Design(tuple(full.runs[i] for i in rng.permutation(len(full))))
+    order = rng.permutation(len(full))
+    shuffled = Design(full.coords[order], full.days[order])
     if not np.allclose(
         fisher_info(spec, params, full),
         fisher_info(spec, params, shuffled),
@@ -353,8 +354,8 @@ def test_criterion_8_property_suites(local_ensembles):
         failures.append("information not additive over blocks")
     grown = data.initial_design()
     last = log_det(fisher_info(spec, params, grown, with_day_effect=False))
-    for run in data.REFERENCE_DESIGN.runs:
-        grown = grown.concat(Design((run,)))
+    for row, day in zip(data.REFERENCE_DESIGN.coords, data.REFERENCE_DESIGN.days):
+        grown = grown.concat(Design.from_coords(row, day))
         now = log_det(fisher_info(spec, params, grown, with_day_effect=False))
         if now < last - 1e-12:
             failures.append("log-determinant decreased when adding a run")

@@ -107,7 +107,9 @@ class TestFitCommand:
     def test_missing_response_is_usage_error_as_in_predict(self, capsys, tmp_path):
         ccd = data.ccd_dataset()
         runs = tmp_path / "runs.csv"
-        runs.write_text(write_csv(ccd.runs, {"y": ccd.responses["velocity"]}))
+        runs.write_text(
+            write_csv(ccd.coords, ccd.days, {"y": ccd.responses["velocity"]})
+        )
         model = tmp_path / "fit.json"
         assert run_cli(capsys, "fit", "--bundled", "temperature",
                        "--out", str(model))[0] == EXIT_OK
@@ -226,6 +228,16 @@ class TestDesignCommand:
         assert code == EXIT_OK
         header = data.REFERENCE_DESIGN.to_csv().splitlines(keepends=True)[0]
         assert out.read_bytes() == header.encode()
+
+    def test_m_zero_writes_a_report_of_value_zero(self, capsys, tmp_path):
+        report = tmp_path / "r.json"
+        code, _, _ = run_cli(
+            capsys, "design", "--criterion", "bayesD", "--m", "0",
+            "--report", str(report),
+        )
+        assert code == EXIT_OK
+        payload = json.loads(report.read_text())
+        assert payload == {"criterion": "bayesD", "value": 0.0, "evaluations": 0}
 
     @pytest.mark.parametrize("flag", ["--out", "--report"])
     def test_unwritable_output_is_usage_error(self, capsys, tmp_path, flag):
@@ -381,7 +393,8 @@ class TestEfficiencyCommand:
         a = tmp_path / "a.csv"
         a.write_text(data.REFERENCE_DESIGN.to_csv())
         b = tmp_path / "b.csv"
-        b.write_text(Design(data.REFERENCE_DESIGN.runs[:2]).to_csv())
+        first_two = data.REFERENCE_DESIGN.coords[:2]
+        b.write_text(Design.from_coords(first_two, day=1).to_csv())
         code, _, err = run_cli(
             capsys, "efficiency", "--design", str(a),
             "--relative-to", str(b), "--model", "temperature",
@@ -627,9 +640,9 @@ class TestPredictCommand:
         text = out.read_bytes().decode()
         assert stdout.startswith(text)
         assert text.count("\r\n") == text.count("\n") == 15
-        runs, columns = read_csv(text, responses=True)
+        coords, days, columns = read_csv(text, responses=True)
         validation = data.validation_dataset()
-        assert runs == validation.runs
+        assert Design(coords, days) == Design(validation.coords, validation.days)
         observed = validation.responses["temperature"]
         predicted = predict(FittedModel.from_json(fitted.read_text()), validation)
         assert np.allclose(columns["observed"], observed, rtol=1e-9)
@@ -695,3 +708,4 @@ class TestPredictCommand:
             capsys, "predict", "--model", str(path), "--data", str(ds)
         )
         assert code == EXIT_DOMAIN
+        assert "outside the identity link's domain under model 'temperature'" in err

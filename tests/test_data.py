@@ -24,8 +24,8 @@ def test_shapes():
 def test_datasets():
     assert len(data.ccd_dataset()) == 30
     assert len(data.validation_dataset()) == 14
-    assert all(r.day == 0 for r in data.ccd_dataset().runs)
-    assert all(r.day == 1 for r in data.validation_dataset().runs)
+    assert all(data.ccd_dataset().days == 0)
+    assert all(data.validation_dataset().days == 1)
     assert set(data.ccd_dataset().responses) == set(data.RESPONSES)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,12 +10,12 @@ from augdesign import (
     Dataset,
     Design,
     FittedModel,
+    InvalidPredictorError,
     Link,
     MissingGammaError,
     ModelSpec,
     ParamPoint,
     RankDeficientError,
-    Run,
     Term,
     fisher_info,
     fit,
@@ -38,22 +39,22 @@ TOLERANCES = {
 class TestDataset:
     def test_nonpositive_response_rejected(self):
         with pytest.raises(ValueError):
-            Dataset((Run((0, 0, 0, 0)),), {"y": np.array([-1.0])})
+            Dataset([[0, 0, 0, 0]], [0], {"y": np.array([-1.0])})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_response_rejected(self, value):
         with pytest.raises(ValueError, match="'y' has non-finite values"):
-            Dataset((Run((0, 0, 0, 0)), Run((1, 0, 0, 0))),
+            Dataset([[0, 0, 0, 0], [1, 0, 0, 0]], [0, 0],
                     {"y": np.array([1.0, value])})
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Dataset((Run((0, 0, 0, 0)),), {"y": np.array([1.0, 2.0])})
+            Dataset([[0, 0, 0, 0]], [0], {"y": np.array([1.0, 2.0])})
 
     def test_caller_dict_left_unchanged(self):
         values = [1.0, 2.0]
         responses = {"y": values}
-        ds = Dataset((Run((0, 0, 0, 0)), Run((1, 0, 0, 0))), responses)
+        ds = Dataset([[0, 0, 0, 0], [1, 0, 0, 0]], [0, 0], responses)
         assert responses == {"y": values} and responses["y"] is values
         assert isinstance(ds.responses["y"], np.ndarray)
 
@@ -81,16 +82,17 @@ class TestDataset:
     def test_datasets_differing_in_a_response(self):
         ds = data.ccd_dataset()
         changed = dict(ds.responses, velocity=ds.responses["velocity"] + 1.0)
-        assert ds != Dataset(ds.runs, changed)
+        assert ds != Dataset(ds.coords, ds.days, changed)
         renamed = {("speed" if k == "velocity" else k): v
                    for k, v in ds.responses.items()}
-        assert ds != Dataset(ds.runs, renamed)
+        assert ds != Dataset(ds.coords, ds.days, renamed)
 
     def test_datasets_differing_in_a_run(self):
         ds = data.ccd_dataset()
-        runs = (Run(ds.runs[0].coords, day=1),) + ds.runs[1:]
-        assert ds != Dataset(runs, ds.responses)
-        assert ds != Design(ds.runs)
+        days = ds.days.copy()
+        days[0] = 1
+        assert ds != Dataset(ds.coords, days, ds.responses)
+        assert ds != Design(ds.coords, ds.days)
 
     def test_dataset_is_unhashable(self):
         with pytest.raises(TypeError):
@@ -161,8 +163,9 @@ class TestFitProperties:
     @pytest.mark.parametrize("name", ["temperature", "velocity"])
     def test_refit_on_fitted_means_is_fixed_point(self, name):
         model = fit(data.MODELS[name], data.ccd_dataset(), name)
-        mu = predict(model, data.ccd_dataset())
-        synthetic = Dataset(data.ccd_dataset().runs, {name: mu})
+        ccd = data.ccd_dataset()
+        mu = predict(model, ccd)
+        synthetic = Dataset(ccd.coords, ccd.days, {name: mu})
         again = fit(data.MODELS[name], synthetic, name)
         assert np.allclose(again.beta_hat, model.beta_hat, rtol=1e-8, atol=1e-10)
 
@@ -171,7 +174,7 @@ class TestFitProperties:
     def test_log_link_scale_equivariance(self, c):
         name = "velocity"
         ds = data.ccd_dataset()
-        scaled = Dataset(ds.runs, {name: c * ds.responses[name]})
+        scaled = Dataset(ds.coords, ds.days, {name: c * ds.responses[name]})
         a = fit(data.MODELS[name], ds, name)
         b = fit(data.MODELS[name], scaled, name)
         assert b.beta_hat[0] - a.beta_hat[0] == pytest.approx(
@@ -192,14 +195,12 @@ class TestFitProperties:
             "bad", Link.LOG, ("L",),
             (Term.intercept(), Term.main(0), Term.square(0)),
         )
-        runs = tuple(Run((0.0, 0, 0, 0)) for _ in range(8))
-        ds = Dataset(runs, {"y": np.ones(8)})
+        ds = Dataset(np.zeros((8, 4)), np.zeros(8, dtype=int), {"y": np.ones(8)})
         with pytest.raises(RankDeficientError):
             fit(spec, ds, "y")
 
     def test_too_few_runs_rejected(self):
-        runs = (Run((0, 0, 0, 0)), Run((1, 0, 0, 0)))
-        ds = Dataset(runs, {"y": np.array([1.0, 2.0])})
+        ds = Dataset([[0, 0, 0, 0], [1, 0, 0, 0]], [0, 0], {"y": np.array([1.0, 2.0])})
         with pytest.raises(RankDeficientError):
             fit(data.MODELS["temperature"], ds, "y")
 
@@ -214,8 +215,8 @@ class TestSingularityRule:
     @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-6, 1e-7])
     def test_fit_rejects_exactly_the_singular_designs(self, eps):
         spec = ModelSpec("line", Link.LOG, ("L",), (Term.intercept(), Term.main(0)))
-        runs = tuple(Run((eps * (i % 2), 0, 0, 0)) for i in range(12))
-        ds = Dataset(runs, {"y": 1.0 + 0.1 * (np.arange(12) % 5)})
+        coords = [[eps * (i % 2), 0, 0, 0] for i in range(12)]
+        ds = Dataset(coords, [0] * 12, {"y": 1.0 + 0.1 * (np.arange(12) % 5)})
         # With a log link the information does not depend on beta.  The
         # pivot test puts the threshold near eps = 2e-6, so both arms run.
         info = fisher_info(spec, ParamPoint((0.0, 0.0)), ds, with_day_effect=False)
@@ -244,26 +245,33 @@ class TestFittedModel:
 class TestPredict:
     def test_center_run_identity_link(self):
         model = fit(data.MODELS["temperature"], data.ccd_dataset(), "temperature")
-        mu = predict(model, Design((Run((0, 0, 0, 0)),)))
+        mu = predict(model, Design.from_coords((0, 0, 0, 0)))
         assert mu[0] == pytest.approx(model.beta_hat[0])
 
     def test_center_run_log_link(self):
         model = fit(data.MODELS["velocity"], data.ccd_dataset(), "velocity")
-        mu = predict(model, Design((Run((0, 0, 0, 0)),)))
+        mu = predict(model, Design.from_coords((0, 0, 0, 0)))
         assert mu[0] == pytest.approx(math.exp(model.beta_hat[0]))
         assert mu[0] == pytest.approx(710.0, abs=1.0)
 
     def test_day_run_needs_gamma(self):
         model = fit(data.MODELS["temperature"], data.ccd_dataset(), "temperature")
         with pytest.raises(MissingGammaError):
-            predict(model, Design((Run((0, 0, 0, 0), day=1),)))
+            predict(model, Design.from_coords((0, 0, 0, 0), day=1))
+
+    def test_predictor_outside_the_domain_names_the_model(self):
+        model = fit(data.MODELS["temperature"], data.ccd_dataset(), "temperature")
+        low = dataclasses.replace(model, beta_hat=(-5000.0, *model.beta_hat[1:]))
+        with pytest.raises(InvalidPredictorError, match="under model 'temperature'"):
+            predict(low, data.ccd_dataset())
 
 
 class TestPredictionError:
     def test_perfect_fit_scores_zero(self):
         model = fit(data.MODELS["velocity"], data.ccd_dataset(), "velocity")
-        mu = predict(model, data.ccd_dataset())
-        synthetic = Dataset(data.ccd_dataset().runs, {"velocity": mu})
+        ccd = data.ccd_dataset()
+        mu = predict(model, ccd)
+        synthetic = Dataset(ccd.coords, ccd.days, {"velocity": mu})
         for metric in ("mse", "rmse", "mae"):
             assert prediction_error(model, synthetic, "velocity", metric) == (
                 pytest.approx(0.0, abs=1e-12)
@@ -271,8 +279,9 @@ class TestPredictionError:
 
     def test_constant_offset_identities(self):
         model = fit(data.MODELS["temperature"], data.ccd_dataset(), "temperature")
-        mu = predict(model, data.ccd_dataset())
-        offset = Dataset(data.ccd_dataset().runs, {"temperature": mu + 3.0})
+        ccd = data.ccd_dataset()
+        mu = predict(model, ccd)
+        offset = Dataset(ccd.coords, ccd.days, {"temperature": mu + 3.0})
         assert prediction_error(model, offset, "temperature", "mse") == (
             pytest.approx(9.0, rel=1e-9)
         )

@@ -14,7 +14,6 @@ from augdesign import (
     MissingGammaError,
     ModelSpec,
     ParamPoint,
-    Run,
     Term,
     fisher_info,
     fit,
@@ -127,11 +126,11 @@ class TestModelSpec:
 class TestRun:
     def test_out_of_box_coordinate_rejected(self):
         with pytest.raises(ValueError):
-            Run((0.0, 0.0, 2.5, 0.0))
+            Design.from_coords((0.0, 0.0, 2.5, 0.0))
 
     def test_bad_day_rejected(self):
         with pytest.raises(ValueError):
-            Run((0.0, 0.0, 0.0, 0.0), day=2)
+            Design.from_coords((0.0, 0.0, 0.0, 0.0), day=2)
 
 
 def to_double(v):
@@ -182,21 +181,21 @@ class TestLinearPredictor:
         merged = data.ccd_dataset().concat(data.reference_augment_dataset())
         model = fit(data.MODELS["temperature"], merged, "temperature",
                     include_day_effect=True)
-        centre = [Run((0, 0, 0, 0), day=0), Run((0, 0, 0, 0), day=1)]
-        base, shifted = predict(model, Design(tuple(centre)))
+        centre = Design(np.zeros((2, 4)), [0, 1])
+        base, shifted = predict(model, centre)
         assert shifted - base == pytest.approx(model.gamma_hat)
 
     def test_missing_gamma(self):
         spec = data.MODELS["temperature"]
         params = ParamPoint(data.ESTIMATES["temperature"].beta)
         with pytest.raises(MissingGammaError):
-            fisher_info(spec, params, Design((Run((0, 0, 0, 0), day=1),)))
+            fisher_info(spec, params, Design.from_coords((0, 0, 0, 0), day=1))
 
     def test_beta_length_checked(self):
         with pytest.raises(ValueError):
             fisher_info(
                 data.MODELS["temperature"], ParamPoint((1.0,), 0.0),
-                Design((Run((0, 0, 0, 0)),)),
+                Design.from_coords((0, 0, 0, 0)),
             )
 
     @pytest.mark.parametrize("with_day_effect", [True, False])

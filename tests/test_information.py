@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from augdesign import Design, Run, fisher_info
+from augdesign import GLOBAL_FACTORS, Design, fisher_info
 from augdesign import data
+from augdesign.glm import COORD_MAX, COORD_MIN
 from augdesign.information import SINGULAR_TOL, _nonsingular, cholesky
 from mp_oracle import mp_info
 from scalar_oracle import MINUS_INF, inv_quadratic_form, log_det
@@ -49,7 +50,8 @@ def test_info_is_permutation_invariant():
     spec, params = data.MODELS["velocity"], data.ESTIMATES["velocity"]
     design = full_design()
     rng = np.random.default_rng(3)
-    shuffled = Design(tuple(design.runs[i] for i in rng.permutation(len(design))))
+    order = rng.permutation(len(design))
+    shuffled = Design(design.coords[order], design.days[order])
     a = fisher_info(spec, params, design)
     b = fisher_info(spec, params, shuffled)
     assert np.allclose(a, b, rtol=1e-12, atol=0)
@@ -69,8 +71,8 @@ def test_det_is_monotone_in_added_runs():
     base = data.initial_design()
     grown = base
     last = log_det(fisher_info(spec, params, base, with_day_effect=False))
-    for run in data.REFERENCE_DESIGN.runs:
-        grown = grown.concat(Design((run,)))
+    for row, day in zip(data.REFERENCE_DESIGN.coords, data.REFERENCE_DESIGN.days):
+        grown = grown.concat(Design.from_coords(row, day))
         entries = fisher_info(spec, params, grown, with_day_effect=False)
         current = log_det(entries)
         assert current >= last - 1e-12
@@ -86,8 +88,7 @@ def test_day_column_singular_without_day1_runs():
 
 def test_replicated_design_is_singular():
     spec, params = data.MODELS["velocity"], data.ESTIMATES["velocity"]
-    run = Run((1.0, 1.0, 1.0, 1.0), day=1)
-    design = Design((run,) * 10)
+    design = Design(np.ones((10, 4)), np.ones(10, dtype=int))
     assert log_det(fisher_info(spec, params, design)) == MINUS_INF
 
 
@@ -237,13 +238,13 @@ def test_design_csv_round_trip():
 def test_design_csv_day_defaults_to_zero():
     text = "run,L,K,D,FDV\n1,0,0,0,0\n"
     design = Design.from_csv(text)
-    assert design.runs[0].day == 0
+    assert design.days[0] == 0
 
 
 def test_design_csv_ignores_other_columns():
     text = "run,L,K,D,FDV,day,note\n1,0.5,0,0,-1,1,centre run\n"
     design = Design.from_csv(text)
-    assert design.runs == (Run((0.5, 0.0, 0.0, -1.0), 1),)
+    assert design == Design([[0.5, 0.0, 0.0, -1.0]], [1])
 
 
 def test_design_split_and_concat():
@@ -254,8 +255,8 @@ def test_design_split_and_concat():
 
 
 def test_empty_design_rejected():
-    with pytest.raises(ValueError):
-        Design(())
+    with pytest.raises(ValueError, match="at least one run"):
+        Design(np.empty((0, 4)), np.empty(0, dtype=int))
 
 
 @pytest.mark.parametrize(
@@ -264,3 +265,82 @@ def test_empty_design_rejected():
 def test_design_from_coords_names_a_wrong_shape(shape):
     with pytest.raises(ValueError, match=re.escape(f"(n, 4) array, got shape {shape}")):
         Design.from_coords(np.zeros(shape), day=1)
+
+
+def run_rules_accept(coords, days) -> bool:
+    """The rules a design's runs were checked by one run at a time: at least
+    one run, each with one coordinate per global factor, every coordinate in
+    [COORD_MIN, COORD_MAX], and a day flag of 0 or 1."""
+    return len(coords) > 0 and all(
+        len(row) == len(GLOBAL_FACTORS)
+        and all(COORD_MIN <= c <= COORD_MAX for c in row)
+        and day in (0, 1)
+        for row, day in zip(coords, days)
+    )
+
+
+coordinates = st.one_of(
+    st.floats(-2.5, 2.5, allow_nan=False),
+    st.sampled_from([COORD_MIN, COORD_MAX, -0.0, math.nan, math.inf, -math.inf]),
+)
+rows = st.lists(coordinates, min_size=3, max_size=5)
+day_flags = st.sampled_from([0, 1, True, False, 1.0, 0.5, 2, -1, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs=st.lists(st.tuples(rows, day_flags), max_size=5))
+def test_design_accepts_exactly_what_the_run_rules_accept(runs):
+    coords, days = [r for r, _ in runs], [d for _, d in runs]
+    if not run_rules_accept(coords, days):
+        with pytest.raises(ValueError):
+            Design(coords, days)
+        return
+    design = Design(coords, days)
+    assert np.array_equal(design.coords, np.array(coords, dtype=float))
+    assert design.days.tolist() == [int(d) for d in days]
+    assert not design.coords.flags.writeable and not design.days.flags.writeable
+
+
+@settings(max_examples=300, deadline=None)
+@given(coords=st.lists(rows, max_size=5), day=day_flags)
+def test_from_coords_accepts_exactly_what_the_run_rules_accept(coords, day):
+    accepted = run_rules_accept(coords, [day] * len(coords))
+    # A single run may also be given as one 4-vector.
+    for given_coords in [coords] + ([coords[0]] if len(coords) == 1 else []):
+        if not accepted:
+            with pytest.raises(ValueError):
+                Design.from_coords(given_coords, day)
+            continue
+        design = Design.from_coords(given_coords, day)
+        assert np.array_equal(design.coords, np.array(coords, dtype=float))
+        assert design.days.tolist() == [int(day)] * len(coords)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    runs=st.lists(
+        st.tuples(st.lists(st.floats(COORD_MIN, COORD_MAX), min_size=4, max_size=4),
+                  st.sampled_from([0, 1])),
+        min_size=1, max_size=6,
+    )
+)
+def test_design_csv_round_trip_is_exact_at_ten_significant_digits(runs):
+    coords = [[float(format(c, ".10g")) for c in row] for row, _ in runs]
+    design = Design(coords, [d for _, d in runs])
+    again = Design.from_csv(design.to_csv())
+    assert np.array_equal(again.coords, design.coords)
+    assert np.array_equal(again.days, design.days)
+
+
+def test_design_needs_one_day_flag_per_run():
+    with pytest.raises(ValueError, match=re.escape("one day flag per run, got (1,)")):
+        Design(np.zeros((2, 4)), [0])
+
+
+def test_design_copies_its_coordinates():
+    coords = np.zeros((2, 4))
+    design = Design.from_coords(coords, day=1)
+    coords[0, 0] = 1.0
+    assert design.coords[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        design.coords[0, 0] = 1.0

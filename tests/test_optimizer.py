@@ -119,9 +119,10 @@ class TestPsoMaximize:
 class TestSolveLocal:
     def test_m_zero(self):
         s = Scenario(data.MODELS["temperature"], data.ESTIMATES["temperature"])
-        result = solve_local(s, data.initial_design(), 0, "D", SMALL)
-        assert result.best_design is None
-        assert result.best_value == 0.0
+        with pytest.raises(ValueError, match="m and dims must be positive"):
+            solve_local(s, data.initial_design(), 0, "D", SMALL)
+        with pytest.raises(ValueError, match="m and dims must be positive"):
+            build_cache(data.model_ensemble("fixed", 0), SMALL)
 
     def test_bad_flavor(self):
         s = Scenario(data.MODELS["temperature"], data.ESTIMATES["temperature"])
