@@ -223,8 +223,8 @@ def cmd_design(args) -> int:
         if len(names) != 1:
             raise UsageError(f"criterion {args.criterion} takes exactly one model")
         scenario = _scenario_from_arg(names[0])
-        result = solve_local(
-            scenario, data.initial_design(), args.m, args.criterion, config
+        (result,) = solve_local(
+            [(scenario, args.criterion)], data.initial_design(), args.m, config
         )
         report = {"criterion": args.criterion, "value": result.best_value,
                   "evaluations": result.evaluations}
@@ -272,9 +272,10 @@ def cmd_efficiency(args) -> int:
             raise DimensionError("comparison design has zero criterion value")
         label = f"relative to {args.relative_to}"
     else:
-        denom = solve_local(
-            scenario, data.initial_design(), m, args.flavor, _pso_config(args)
-        ).best_value
+        (local,) = solve_local(
+            [(scenario, args.flavor)], data.initial_design(), m, _pso_config(args)
+        )
+        denom = local.best_value
         if denom <= 0:
             raise DegenerateOptimumError(f"the local {args.flavor} optimum is 0")
         label = "vs local optimum"

@@ -25,7 +25,8 @@ class StackScores(NamedTuple):
     """The D criterion |I|^(1/(p+1)) and the D1 criterion 1 / (I^{-1})_nn of
     k designs under each of an ensemble's S scenarios, as two (S, k) arrays
     in scenario order (``ScenarioEnsemble.score``), or of one design as two
-    (S,) arrays (``ScenarioEnsemble.score_design``).  I is the information
+    (S,) arrays (``ScenarioEnsemble.score_design``).  Row j of an aligned
+    score holds scenario j's own k designs.  I is the information
     with the day-effect column last; a singular or infeasible design scores 0.
 
     The criteria take it in place of the (k, m, 4) stack it scores and read
@@ -104,6 +105,8 @@ class ScenarioEnsemble:
     def __init__(self, scenarios: list[Scenario], initial_design: Design, m: int):
         if not scenarios:
             raise ValueError("ensemble needs at least one scenario")
+        if m < 1:
+            raise ValueError(f"an ensemble needs m >= 1 new runs, got m={m}")
         if (initial_design.days != 0).any():
             raise ValueError("initial design must be all day-0 runs")
         # Dividing by the largest weight first keeps the sum finite.
@@ -134,7 +137,8 @@ class ScenarioEnsemble:
         # initial blocks, assembled in one call.  The rows are a slice when
         # they are adjacent, as model_ensemble orders them, because writing
         # to a slice is cheaper than to an index array.
-        coords, days = initial_design.coords, np.zeros(len(initial_design))
+        coords = initial_design.coords[None]
+        days = np.zeros(coords.shape[:-1])
         self._groups = []
         for r in rows.values():
             spec = self.scenarios[r[0]].spec
@@ -145,19 +149,26 @@ class ScenarioEnsemble:
             self._groups.append((r, spec, params, base[:, None]))
 
     def score(self, stack: np.ndarray) -> StackScores:
-        """The D and D1 criteria of every scenario and every design of a
-        (k, m, 4) stack of new day-1 runs, scored model by model
-        (``_score_model``)."""
-        if stack.ndim != 3 or stack.shape[-1] != 4:
+        """The D and D1 criteria of k designs of new day-1 runs under every
+        scenario, scored model by model (``_score_model``).
+
+        A (k, m, 4) stack is scored under every scenario.  An aligned
+        (S, k, m, 4) stack is scored row by row: row j under scenario j
+        only, as one search per scenario needs.  Either way the result is
+        two (S, k) arrays, and an aligned row equals, bit for bit, that
+        scenario's row of the (k, m, 4) score of the same k designs.
+        """
+        aligned = stack.ndim == 4 and len(stack) == len(self.scenarios)
+        if stack.ndim != 3 + aligned or stack.shape[-1] != 4:
             raise ValueError(
-                f"a stack of designs must have shape (k, m, 4), got shape {stack.shape}"
+                "a stack of designs must have shape (k, m, 4) or "
+                f"({len(self.scenarios)}, k, m, 4), got shape {stack.shape}"
             )
-        values = np.empty((2, len(self.scenarios), len(stack)))
+        values = np.empty((2, len(self.scenarios), stack.shape[-3]))
         ok = np.empty(values.shape[1:], dtype=bool)
-        days = np.ones(stack.shape[:-1])
         for rows, spec, params, base in self._groups:
             (values[0, rows], values[1, rows]), ok[rows] = _score_model(
-                spec, params, base, stack, days
+                spec, params, base, stack[rows] if aligned else stack[None]
             )
         return StackScores(*np.where(ok, values, 0.0))
 
@@ -185,7 +196,7 @@ class ScenarioEnsemble:
         _, spec, params, base = next(g for g in self._groups if g[1] is s.spec)
         j = params.index(s.params)
         stack = np.stack([_new_coords(d_opt), _new_coords(d1_opt)])
-        values, ok = _score_model(spec, params, base, stack, np.ones(stack.shape[:-1]))
+        values, ok = _score_model(spec, params, base, stack[None])
         (vd, _), (vd1_at_d, vd1) = np.where(ok, values, 0.0)[:, j]
         if vd <= 0 or vd1 <= 0 or vd1_at_d <= 0:
             raise DegenerateOptimumError("cached optimal values must be positive")
@@ -200,20 +211,23 @@ class ScenarioEnsemble:
 
 
 def _score_model(spec: ModelSpec, params: tuple, base: np.ndarray,
-                 stack: np.ndarray, days: np.ndarray):
-    """The D and D1 criteria of a (k, m, 4) stack of new day-1 runs under the
-    S scenarios of one model, given their (S, 1, p+1, p+1) initial blocks,
-    as two (S, k) arrays with the (S, k) mask of the values that stand; the
-    others score 0.
+                 stack: np.ndarray):
+    """The D and D1 criteria of a (T, k, m, 4) stack of new day-1 runs under
+    the S scenarios of one model, given their (S, 1, p+1, p+1) initial
+    blocks, as two (S, k) arrays with the (S, k) mask of the values that
+    stand; the others score 0.  With T = 1 every scenario scores the k
+    designs; with T = S scenario j scores row j (``augmented_info_entries``).
 
     One assembly call and one ``cholesky`` call give both criteria.  A
     singular matrix, or a design outside a scenario's link domain, is masked
     for that scenario only.
     """
-    add, feasible = augmented_info_entries(spec, params, stack, days)
+    add, feasible = augmented_info_entries(
+        spec, params, stack, np.ones(stack.shape[:-1])
+    )
     n = base.shape[-1]
     chol, ok = cholesky((base + add).reshape(-1, n, n))
-    shape = (len(params), len(stack))
+    shape = (len(params), stack.shape[1])
     values = (np.exp(factor_log_det(chol) / n).reshape(shape),
               factor_last_pivot_sq(chol).reshape(shape))
     return values, ok.reshape(shape) & feasible

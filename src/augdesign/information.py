@@ -110,10 +110,10 @@ def read_csv(
     text: str, responses: bool = False
 ) -> tuple[np.ndarray, np.ndarray, dict[str, list[float]]]:
     """The (n, 4) coordinates and (n,) day flags of a CSV in the ``write_csv``
-    layout.  With ``responses``, every column other than run, the factors and
-    day is also read as numbers, one value per run; without, those columns
-    are ignored.  A missing ``day`` column reads as day 0, and an error names
-    the line of the bad cell."""
+    layout, checked as a ``Design``.  With ``responses``, every column other
+    than run, the factors and day is also read as numbers, one value per run;
+    without, those columns are ignored.  A missing ``day`` column reads as
+    day 0, and an error names the line of the bad cell or run."""
     reader = csv.DictReader(io.StringIO(text))
     skip = ("run", "day", *GLOBAL_FACTORS)
     names = [f for f in reader.fieldnames or () if f not in skip]
@@ -121,12 +121,23 @@ def read_csv(
     for line, row in enumerate(reader, start=2):
         try:
             coords.append([float(row[f]) for f in GLOBAL_FACTORS])
-            days.append(int(row.get("day") or 0))
+            days.append(float(row.get("day") or 0))
             for n, values in columns.items():
                 values.append(float(row[n]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"CSV line {line}: {exc}") from exc
-    return np.reshape(coords, (-1, len(GLOBAL_FACTORS))), np.array(days, int), columns
+    coords, days = np.reshape(coords, (-1, len(GLOBAL_FACTORS))), np.array(days)
+    try:
+        design = Design(coords, days)
+    except ValueError as exc:
+        # The bad line holds the first run that Design rejects on its own.
+        for i in range(len(days)):
+            try:
+                Design(coords[i : i + 1], days[i : i + 1])
+            except ValueError as bad:
+                raise ValueError(f"CSV line {i + 2}: {bad}") from exc
+        raise
+    return design.coords, design.days, columns
 
 
 def augmented_info_entries(
@@ -138,27 +149,34 @@ def augmented_info_entries(
     """Raw (p+1)x(p+1) information entries of S parameter points of one model
     for given coordinates and day flags.
 
-    An (..., n, 4) array of coordinates with (..., n) day flags gives the
+    A (T, ..., n, 4) array of coordinates with (T, ..., n) day flags gives the
     (S, ..., p+1, p+1) stack with an (S, ...) mask of the matrices whose
-    predictors all lie in the link domain, or True when all of them do.  A
-    run outside it is weighted at the placeholder predictor 1, so a masked
-    matrix is finite but means nothing.
+    predictors all lie in the link domain, or True when all of them do.  The
+    leading axis has length T = 1, whose runs are assembled under every
+    parameter point, or T = S, whose row j is assembled under point j only.
+    A run outside the domain is weighted at the placeholder predictor 1, so
+    a masked matrix is finite but means nothing.
     """
+    if len(coords) not in (1, len(params)):
+        raise ValueError(f"{len(coords)} rows of coordinates for "
+                         f"{len(params)} parameter points; give 1 or one each")
     Z = regressor_matrix(spec, coords.reshape(-1, len(GLOBAL_FACTORS)))
     Z = Z.reshape(*coords.shape[:-1], spec.p)
     Zs = np.concatenate([Z, days[..., None].astype(float, copy=False)], axis=-1)
-    # One matrix-vector product per distinct beta, not one Z·B product over
-    # all of them: that rounds differently, and a predictor near 0 turns its
-    # last bit into a visible change of the 1/eta^2 weight.  Scenarios that
-    # differ only in gamma, as a day-effect prior gives, share one product
-    # without stacking copies of it.
+    # One matrix-vector product per distinct beta and row, not one Z·B
+    # product over all of them: that rounds differently, and a predictor
+    # near 0 turns its last bit into a visible change of the 1/eta^2 weight.
+    # Scenarios that differ only in gamma, as a day-effect prior gives, share
+    # one product without stacking copies of it.
     betas = {q.beta for q in params}
     if len(betas) == 1:
         zb = Z @ np.asarray(params[0].beta)
-    else:
-        zb = {b: Z @ np.asarray(b) for b in betas}
+    elif len(Z) == 1:
+        zb = {b: Z[0] @ np.asarray(b) for b in betas}
         zb = np.stack([zb[q.beta] for q in params])
-    gamma = np.array([q.gamma for q in params]).reshape(-1, *(1,) * days.ndim)
+    else:
+        zb = np.stack([z @ np.asarray(q.beta) for z, q in zip(Z, params)])
+    gamma = np.array([q.gamma for q in params]).reshape(-1, *(1,) * (days.ndim - 1))
     eta = zb + days * gamma
     try:
         w = spec.link.weight(eta)
@@ -201,7 +219,9 @@ def fisher_info(
         # All-zero day flags leave the p x p block equal to the plain
         # information.
         params, days = ParamPoint(params.beta, 0.0), np.zeros(len(design))
-    (entries,), inside = augmented_info_entries(spec, (params,), design.coords, days)
+    (entries,), inside = augmented_info_entries(
+        spec, (params,), design.coords[None], days[None]
+    )
     require_inside(spec, inside, "the design")
     return entries if with_day_effect else entries[:-1, :-1]
 

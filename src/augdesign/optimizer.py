@@ -66,20 +66,27 @@ def _expand(fragment: np.ndarray, indices: tuple[int, ...]) -> np.ndarray:
     return full
 
 
-def pso_maximize(
+def pso_lockstep(
     objective: Objective,
+    searches: int,
     m: int,
     dims: int,
     config: PsoConfig,
     seeds: Sequence[np.ndarray] = (),
-) -> SearchResult:
-    """Global-best PSO over [-2, 2]^(m*dims).
+) -> list[SearchResult]:
+    """``searches`` independent global-best PSO searches over
+    [-2, 2]^(m*dims), advanced together.
 
-    ``objective`` maps a (k, m, dims) stack of fragments to k real values and
-    must give 0 (or -inf) for infeasible fragments.  It is called on the
-    calling thread, once per iteration with the whole swarm, and once with a
-    stack of one to recompute the best fragment's value.  ``seeds`` are
-    fragments placed as initial particles in every restart.
+    ``objective`` maps a (G, k, m, dims) stack, search j's k fragments in row
+    j, to (G, k) values, and must give 0 (or -inf) for infeasible fragments.
+    It is called on the calling thread, once per iteration with every swarm,
+    and once with a (G, 1, m, dims) stack to recompute each best fragment's
+    value.  ``seeds`` are fragments placed as initial particles in every
+    restart.  All searches share one config, so one set of random draws per
+    restart serves them all, and each search follows the path it would take
+    alone.  A search that stagnates stops there: its best point, history and
+    evaluation count keep the values of that iteration while the others go
+    on.  Returns one result per search.
     """
     if m < 1 or dims < 1:
         raise ValueError("m and dims must be positive")
@@ -89,10 +96,11 @@ def pso_maximize(
         flat_seeds = flat_seeds[: config.swarm_size]
 
     span = COORD_MAX - COORD_MIN
-    best_flat: Optional[np.ndarray] = None
-    best_value = -np.inf
-    histories: list[tuple[float, ...]] = []
-    evaluations = 0
+    each = np.arange(searches)
+    best_flat = np.zeros((searches, d))
+    best_value = np.full(searches, -np.inf)
+    histories: list[list[tuple[float, ...]]] = [[] for _ in each]
+    evaluations = np.zeros(searches, dtype=int)
     for child in np.random.SeedSequence(config.seed).spawn(config.restarts):
         rng = np.random.default_rng(child)
         x = rng.uniform(COORD_MIN, COORD_MAX, size=(config.swarm_size, d))
@@ -100,50 +108,84 @@ def pso_maximize(
         for i, s in enumerate(flat_seeds):
             x[i] = s
             v[i] = 0.0
+        x = np.repeat(x[None], searches, axis=0)
 
-        values = objective(x.reshape(-1, m, dims))
-        evaluations += len(values)
-        pbest, pval = x.copy(), values.copy()
-        g = int(np.argmax(pval))
-        gbest, gval = pbest[g].copy(), float(pval[g])
-        history = [gval]
-        since_improvement = 0
+        pval = objective(x.reshape(searches, -1, m, dims)).copy()
+        pbest = x.copy()
+        g = np.argmax(pval, axis=1)
+        gbest, gval = pbest[each, g], pval[each, g]
+        trace = [gval.copy()]
+        # Iterations each search has run in this restart; a search is active
+        # until its best has risen by no more than TOLERANCE for
+        # STAGNATION_WINDOW iterations.
+        steps = np.zeros(searches, dtype=int)
+        since_improvement = np.zeros(searches, dtype=int)
+        active = np.ones(searches, dtype=bool)
         for _ in range(config.iterations):
             r1 = rng.uniform(size=(config.swarm_size, d))
             r2 = rng.uniform(size=(config.swarm_size, d))
             v = (
                 INERTIA * v
                 + COGNITIVE * r1 * (pbest - x)
-                + SOCIAL * r2 * (gbest - x)
+                + SOCIAL * r2 * (gbest[:, None] - x)
             )
             x = x + v
             clamped = (x < COORD_MIN) | (x > COORD_MAX)
             np.clip(x, COORD_MIN, COORD_MAX, out=x)
             v[clamped] = 0.0
 
-            values = objective(x.reshape(-1, m, dims))
-            evaluations += len(values)
-            improved = values > pval
+            values = objective(x.reshape(searches, -1, m, dims))
+            # A stopped search keeps its personal bests, so its global best
+            # cannot rise either.
+            improved = (values > pval) & active[:, None]
             pbest[improved] = x[improved]
             pval[improved] = values[improved]
-            g = int(np.argmax(pval))
-            if float(pval[g]) > gval + TOLERANCE:
-                since_improvement = 0
-            else:
-                since_improvement += 1
-            if float(pval[g]) > gval:
-                gbest, gval = pbest[g].copy(), float(pval[g])
-            history.append(gval)
-            if since_improvement >= STAGNATION_WINDOW:
+            g = np.argmax(pval, axis=1)
+            top = pval[each, g]
+            since_improvement = np.where(top > gval + TOLERANCE, 0,
+                                         since_improvement + 1)
+            rose = top > gval
+            gbest[rose], gval[rose] = pbest[each[rose], g[rose]], top[rose]
+            trace.append(gval.copy())
+            steps += active
+            active &= since_improvement < STAGNATION_WINDOW
+            if not active.any():
                 break
-        histories.append(tuple(history))
-        if gval > best_value:
-            best_value, best_flat = gval, gbest
+        trace = np.array(trace)
+        for j in each:
+            histories[j].append(tuple(trace[: steps[j] + 1, j].tolist()))
+        evaluations += (steps + 1) * config.swarm_size
+        better = gval > best_value
+        best_value[better], best_flat[better] = gval[better], gbest[better]
 
-    assert best_flat is not None
-    fragment = best_flat.reshape(m, dims)
-    recomputed = float(objective(fragment[None])[0])
-    return SearchResult(None, recomputed, tuple(histories), evaluations, fragment)
+    fragments = best_flat.reshape(searches, 1, m, dims)
+    recomputed = objective(fragments)[:, 0]
+    return [
+        SearchResult(None, float(recomputed[j]), tuple(histories[j]),
+                     int(evaluations[j]), fragments[j, 0])
+        for j in each
+    ]
+
+
+def pso_maximize(
+    objective: Objective,
+    m: int,
+    dims: int,
+    config: PsoConfig,
+    seeds: Sequence[np.ndarray] = (),
+) -> SearchResult:
+    """One global-best PSO search over [-2, 2]^(m*dims): ``pso_lockstep``
+    with one search.
+
+    ``objective`` maps a (k, m, dims) stack of fragments to k real values and
+    must give 0 (or -inf) for infeasible fragments.  It is called once per
+    iteration with the whole swarm, and once with a stack of one to
+    recompute the best fragment's value.
+    """
+    (result,) = pso_lockstep(
+        lambda stack: objective(stack[0])[None], 1, m, dims, config, seeds
+    )
+    return result
 
 
 def _published_seeds(m: int, indices: tuple[int, ...]) -> list[np.ndarray]:
@@ -161,13 +203,9 @@ def _published_seeds(m: int, indices: tuple[int, ...]) -> list[np.ndarray]:
     return seeds
 
 
-def _search(
-    objective: Objective, m: int, indices: tuple[int, ...], config: PsoConfig
-) -> SearchResult:
-    """Seeded swarm search over the factors ``indices``; the best fragment
-    becomes a day-1 design with the other factors at 0."""
-    seeds = _published_seeds(m, indices)
-    result = pso_maximize(objective, m, len(indices), config, seeds)
+def _with_design(result: SearchResult, indices: tuple[int, ...]) -> SearchResult:
+    """Set the result's best design: its best fragment as day-1 runs over the
+    factors ``indices``, with the other factors at 0."""
     result.best_design = Design.from_coords(
         _expand(result.best_fragment, indices), day=1
     )
@@ -175,26 +213,39 @@ def _search(
 
 
 def solve_local(
-    scenario: Scenario,
+    searches: Sequence[tuple[Scenario, str]],
     initial_design: Design,
     m: int,
-    flavor: str,
     config: PsoConfig,
-) -> SearchResult:
-    """Locally D- or D1-optimal m-run augmentation for one scenario.
+) -> list[SearchResult]:
+    """Locally D- or D1-optimal m-run augmentations, one per (scenario,
+    flavour) search, found in lockstep (``pso_lockstep``).
 
-    Searches only the scenario's active factors; inactive coordinates of the
-    returned design are 0 (they do not enter the criterion).
+    All scenarios belong to one model.  Each iteration scores every swarm in
+    one aligned ``ScenarioEnsemble.score`` call: search j's designs under
+    its own scenario only.  Only the model's active factors are searched;
+    the inactive coordinates of the returned designs are 0 (they do not
+    enter the criterion).  Each result equals that of the search alone.
     """
-    if flavor not in ("D", "D1"):
+    if not searches:
+        raise ValueError("solve_local needs at least one search")
+    scenarios = [scenario for scenario, _ in searches]
+    if any(flavor not in ("D", "D1") for _, flavor in searches):
         raise ValueError("flavor must be 'D' or 'D1'")
-    ensemble = ScenarioEnsemble([scenario], initial_design, m)
-    indices = scenario.spec.global_indices
+    spec = scenarios[0].spec
+    if any(s.spec != spec for s in scenarios):
+        raise ValueError("the searches of one solve_local call share one model")
+    ensemble = ScenarioEnsemble(scenarios, initial_design, m)
+    indices = spec.global_indices
+    d_rows = np.array([[flavor == "D"] for _, flavor in searches])
 
     def objective(fragments: np.ndarray) -> np.ndarray:
-        return getattr(ensemble.score(_expand(fragments, indices)), flavor)[0]
+        scores = ensemble.score(_expand(fragments, indices))
+        return np.where(d_rows, scores.D, scores.D1)
 
-    return _search(objective, m, indices, config)
+    seeds = _published_seeds(m, indices)
+    results = pso_lockstep(objective, len(searches), m, len(indices), config, seeds)
+    return [_with_design(result, indices) for result in results]
 
 
 def build_cache(ensemble: ScenarioEnsemble, config: PsoConfig) -> ScenarioEnsemble:
@@ -203,21 +254,23 @@ def build_cache(ensemble: ScenarioEnsemble, config: PsoConfig) -> ScenarioEnsemb
 
     Scenarios of one model share their searches when their information is
     equal: always under a log link, whose weight is 1 whatever beta and
-    gamma are, and otherwise only at equal parameters.
+    gamma are, and otherwise only at equal parameters.  The D and D1
+    searches of one model run in one ``solve_local`` call.
     """
-    optima: dict[tuple, tuple[Design, Design]] = {}
+    # Per model, the scenario positions of each distinct information.
+    models: dict[int, dict[tuple, list[int]]] = {}
     for idx, scenario in enumerate(ensemble.scenarios):
-        key: tuple = (id(scenario.spec),)
-        if scenario.spec.link is not Link.LOG:
-            key += (scenario.params,)
-        if key not in optima:
-            optima[key] = tuple(
-                solve_local(
-                    scenario, ensemble.initial_design, ensemble.m, flavor, config
-                ).best_design
-                for flavor in ("D", "D1")
-            )
-        ensemble.set_optimal(idx, *optima[key])
+        key = () if scenario.spec.link is Link.LOG else (scenario.params,)
+        models.setdefault(id(scenario.spec), {}).setdefault(key, []).append(idx)
+    for shared in models.values():
+        searches = [(ensemble.scenarios[members[0]], flavor)
+                    for members in shared.values() for flavor in ("D", "D1")]
+        # The results come in (D, D1) pairs, one pair per information.
+        results = iter(solve_local(searches, ensemble.initial_design,
+                                   ensemble.m, config))
+        for members, d_opt, d1_opt in zip(shared.values(), results, results):
+            for idx in members:
+                ensemble.set_optimal(idx, d_opt.best_design, d1_opt.best_design)
     return ensemble
 
 
@@ -231,4 +284,6 @@ def solve_compromise(
     def objective(fragments: np.ndarray) -> np.ndarray:
         return phi_compromise(ensemble, ensemble.score(fragments), alpha)
 
-    return _search(objective, ensemble.m, ALL_FACTORS, config)
+    seeds = _published_seeds(ensemble.m, ALL_FACTORS)
+    result = pso_maximize(objective, ensemble.m, len(ALL_FACTORS), config, seeds)
+    return _with_design(result, ALL_FACTORS)

@@ -58,7 +58,7 @@ def inv_quadratic_form(a: np.ndarray) -> float:
 def _entries(scenario, coords, days):
     """One scenario's information entries, or None outside the link domain."""
     (entries,), inside = augmented_info_entries(
-        scenario.spec, (scenario.params,), coords, days
+        scenario.spec, (scenario.params,), coords[None], days[None]
     )
     return entries if np.all(inside) else None
 

@@ -449,9 +449,9 @@ class TestEfficiencyCommand:
     ):
         calls, search = [], cli.solve_local
 
-        def counted(*args):
-            calls.append(args[3])
-            return search(*args)
+        def counted(searches, *args):
+            calls.append([flavor for _, flavor in searches])
+            return search(searches, *args)
 
         monkeypatch.setattr(cli, "solve_local", counted)
         code, stdout, _ = run_cli(
@@ -460,7 +460,7 @@ class TestEfficiencyCommand:
             "--seed", "4",
         )
         assert code == EXIT_OK
-        assert calls == [flavor]
+        assert calls == [[flavor]]
         # The percentage that the cache of both local searches gives.
         ensemble = data.single_scenario_ensemble("temperature")
         config = PsoConfig(swarm_size=4, iterations=2, restarts=1, seed=4)

@@ -384,6 +384,18 @@ stack_strategy = st.integers(1, 30).flatmap(
     lambda k: arrays(np.float64, (k, 4, 4), elements=coordinate)
 )
 
+# One stack of k designs per scenario of STACK_ENSEMBLE, scored aligned.
+aligned_strategy = st.integers(1, 4).flatmap(
+    lambda k: arrays(np.float64, (len(STACK_ENSEMBLE.scenarios), k, 4, 4),
+                     elements=coordinate)
+)
+# Row j holds the reference design and the corner designs, rolled by j, so
+# each scenario scores its own order of them.
+ALIGNED_CORNERS = np.stack([
+    np.roll(CORNER_STACK[::-1], j, axis=0)
+    for j in range(len(STACK_ENSEMBLE.scenarios))
+])
+
 
 def assert_same_as_scalar(stacked, scalar):
     scalar = np.array(scalar)
@@ -469,6 +481,36 @@ class TestStacked:
             assert_same_as_scalar(scores.D[i], [phi_D(s, d, ens) for d in stack])
             assert_same_as_scalar(scores.D1[i], [phi_D1(s, d, ens) for d in stack])
         assert_criteria_are_scalar(ens, scores, scalar_criteria(ens, stack))
+
+    @settings(max_examples=15, deadline=None)
+    @given(stack=aligned_strategy)
+    @example(stack=ALIGNED_CORNERS)
+    def test_aligned_rows_equal_the_broadcast_rows(self, stack):
+        # Row j of an aligned stack, scored under scenario j only, gives
+        # exactly scenario j's row of the broadcast score of those designs,
+        # zeros of the low-intercept scenario's domain mask included.
+        ens = STACK_ENSEMBLE
+        aligned = ens.score(stack)
+        for j, designs in enumerate(stack):
+            broadcast = ens.score(designs)
+            for got, want in zip(aligned, broadcast):
+                assert np.array_equal(got[j], want[j])
+
+    def test_aligned_corners_meet_the_domain_mask(self):
+        low = STACK_ENSEMBLE.scenarios.index(LOW)
+        scores = STACK_ENSEMBLE.score(ALIGNED_CORNERS)
+        # LOW's row holds the reference design at position low % 5; some of
+        # its corner designs leave the link domain.
+        reference = low % len(CORNER_STACK)
+        for got in scores:
+            assert got[low, reference] > 0.0
+            assert np.any(np.delete(got[low], reference) == 0.0)
+            assert np.all(np.delete(got, low, axis=0) > 0.0)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 4), (22, 3, 4, 5), (23, 1, 4, 4)])
+    def test_stack_of_another_shape_is_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            STACK_ENSEMBLE.score(np.zeros(shape))
 
     def test_infeasible_design_scores_zero_in_a_stack(self):
         ens = STACK_ENSEMBLE

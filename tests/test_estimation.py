@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,12 @@ class TestDataset:
     def test_csv_reports_bad_line(self):
         text = "run,L,K,D,FDV,day,y\n1,0,0,0,0,0,1.0\n2,0,x,0,0,0,1.0\n"
         with pytest.raises(ValueError, match="line 3"):
+            Dataset.from_csv(text)
+
+    def test_csv_names_the_line_of_a_run_outside_the_box(self):
+        text = "run,L,K,D,FDV,day,y\n1,0,0,0,0,0,1.0\n2,0,0,0,2.5,1.0,1.0\n"
+        with pytest.raises(ValueError, match=re.escape(
+                "CSV line 3: coordinate 2.5 outside [-2.0, 2.0]")):
             Dataset.from_csv(text)
 
     def test_concat(self):

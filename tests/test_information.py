@@ -247,6 +247,22 @@ def test_design_csv_ignores_other_columns():
     assert design == Design([[0.5, 0.0, 0.0, -1.0]], [1])
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("0,0,3,0,1\n", "CSV line 2: coordinate 3.0 outside [-2.0, 2.0]"),
+    ("0,0,0,0,1\n0,0,0,0,0.5\n", "CSV line 3: day flag must be 0 or 1"),
+    ("0,0,0,0,1\n0,0,0,0,1\n0,nan,0,0,1\n", "CSV line 4: coordinate nan outside"),
+    ("0,0,0,0,2\n0,0,3,0,1\n", "CSV line 2: day flag must be 0 or 1"),
+])
+def test_design_csv_names_the_line_of_a_bad_run(rows, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Design.from_csv("L,K,D,FDV,day\n" + rows)
+
+
+def test_design_csv_reads_float_day_cells():
+    design = Design.from_csv("L,K,D,FDV,day\n0,0,0,0,1.0\n0,0,0,0,0.0\n")
+    assert design == Design(np.zeros((2, 4)), [1, 0])
+
+
 def test_design_split_and_concat():
     full = full_design()
     first, second = full.split()

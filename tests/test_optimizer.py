@@ -118,27 +118,29 @@ class TestPsoMaximize:
 
 class TestSolveLocal:
     def test_m_zero(self):
+        # A negative m is named too, not left to numpy's shape error.
         s = Scenario(data.MODELS["temperature"], data.ESTIMATES["temperature"])
-        with pytest.raises(ValueError, match="m and dims must be positive"):
-            solve_local(s, data.initial_design(), 0, "D", SMALL)
-        with pytest.raises(ValueError, match="m and dims must be positive"):
-            build_cache(data.model_ensemble("fixed", 0), SMALL)
+        for m in (0, -3):
+            with pytest.raises(ValueError, match=f"m >= 1 new runs, got m={m}"):
+                solve_local([(s, "D")], data.initial_design(), m, SMALL)
+            with pytest.raises(ValueError, match=f"m >= 1 new runs, got m={m}"):
+                build_cache(data.model_ensemble("fixed", m), SMALL)
 
     def test_bad_flavor(self):
         s = Scenario(data.MODELS["temperature"], data.ESTIMATES["temperature"])
         with pytest.raises(ValueError):
-            solve_local(s, data.initial_design(), 4, "B", SMALL)
+            solve_local([(s, "D"), (s, "B")], data.initial_design(), 4, SMALL)
 
     def test_dominates_published_temperature_design(self, local_ensembles):
         ens = local_ensembles["temperature"]
         s = ens.scenarios[0]
-        result = solve_local(s, data.initial_design(), 4, "D", SMALL)
+        (result,) = solve_local([(s, "D")], data.initial_design(), 4, SMALL)
         published = ens.score_design(data.LOCAL_D_OPTIMAL["temperature"]).D[0]
         assert result.best_value >= published - 1e-6 * published
 
     def test_temperature_search_leaves_fdv_at_zero(self):
         s = Scenario(data.MODELS["temperature"], data.ESTIMATES["temperature"])
-        result = solve_local(s, data.initial_design(), 4, "D", SMALL)
+        (result,) = solve_local([(s, "D")], data.initial_design(), 4, SMALL)
         design = result.best_design
         assert np.all(design.coords[:, 3] == 0.0)
         assert np.all(design.days == 1)
@@ -177,27 +179,73 @@ class TestCacheDedup:
     def test_one_search_pair_per_information(self, monkeypatch):
         calls = []
 
-        def counted(scenario, *args):
-            calls.append(scenario)
-            return solve_local(scenario, *args)
+        def counted(searches, *args):
+            calls.append(searches)
+            return solve_local(searches, *args)
 
         monkeypatch.setattr(optimizer, "solve_local", counted)
         build_cache(data.model_ensemble("pm10pm20"), self.TINY)
-        # Five day-effect values per model; the log-link velocity model's
-        # information does not depend on them.
-        assert len(calls) == 2 * (1 + 3 * 5)
-        assert sum(s.spec.name == "velocity" for s in calls) == 2
+        # One lockstep call per model.  Five day-effect values per model;
+        # the log-link velocity model's information does not depend on them.
+        searches = [s for call in calls for s, _ in call]
+        assert [len({id(s.spec) for s, _ in call}) for call in calls] == [1] * 4
+        assert len(searches) == 2 * (1 + 3 * 5)
+        assert sum(s.spec.name == "velocity" for s in searches) == 2
 
     def test_cache_equals_one_search_pair_per_scenario(self):
         shared = build_cache(data.model_ensemble("pm10pm20"), self.TINY)
         each = data.model_ensemble("pm10pm20")
         for idx, s in enumerate(each.scenarios):
             each.set_optimal(idx, *(
-                solve_local(s, each.initial_design, each.m, flavor, self.TINY)
+                solve_local([(s, flavor)], each.initial_design, each.m, self.TINY)[0]
                 .best_design
                 for flavor in ("D", "D1")
             ))
         assert shared.cache == each.cache
+
+
+class TestLockstep:
+    # Above the stagnation window with two restarts: the searches of one
+    # model stop at different iterations, and some run the whole budget.
+    STALLING = PsoConfig(swarm_size=6, iterations=250, restarts=2, seed=3)
+
+    @pytest.mark.parametrize("model", data.RESPONSES)
+    def test_each_search_equals_its_search_alone(self, model):
+        assert self.STALLING.iterations > optimizer.STAGNATION_WINDOW
+        ens = data.model_ensemble("pm10pm20")
+        searches = [(s, flavor) for s in ens.scenarios if s.spec.name == model
+                    for flavor in ("D", "D1")]
+        together = solve_local(searches, ens.initial_design, ens.m, self.STALLING)
+        lengths = {tuple(map(len, r.history)) for r in together}
+        assert len(lengths) > 1
+        assert any(n < self.STALLING.iterations + 1 for ns in lengths for n in ns)
+        for search, got in zip(searches, together):
+            (alone,) = solve_local([search], ens.initial_design, ens.m, self.STALLING)
+            assert got.best_design == alone.best_design
+            assert np.array_equal(got.best_fragment, alone.best_fragment)
+            assert got.best_value == alone.best_value
+            assert got.evaluations == alone.evaluations
+            assert got.history == alone.history
+            # One swarm is scored per history entry: the start and each
+            # iteration the search ran.
+            swarm = self.STALLING.swarm_size
+            assert got.evaluations == swarm * sum(map(len, got.history))
+
+    def test_one_search_is_pso_maximize(self):
+        # sphere sums over the last two axes, so it scores (1, k, 2, 4) too.
+        (together,) = optimizer.pso_lockstep(sphere, 1, 2, 4, SMALL)
+        alone = pso_maximize(sphere, 2, 4, SMALL)
+        assert np.array_equal(together.best_fragment, alone.best_fragment)
+        assert (together.best_value, together.history, together.evaluations) == (
+            alone.best_value, alone.history, alone.evaluations)
+
+    def test_searches_of_two_models_are_rejected(self):
+        ens = data.model_ensemble("fixed")
+        with pytest.raises(ValueError, match="share one model"):
+            solve_local([(ens.scenarios[0], "D"), (ens.scenarios[1], "D")],
+                        ens.initial_design, ens.m, SMALL)
+        with pytest.raises(ValueError, match="at least one search"):
+            solve_local([], ens.initial_design, ens.m, SMALL)
 
 
 class TestEnsembleSolvers:
