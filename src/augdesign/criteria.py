@@ -191,7 +191,11 @@ class ScenarioEnsemble:
 
     def set_optimal(self, idx: int, d_opt: Design, d1_opt: Design) -> None:
         """Populate the cache from explicit locally optimal designs, scored as
-        one stack of two against the scenario's model."""
+        one stack of two against the scenario's model.  Each must have the
+        ensemble's m runs, or ``ValueError`` names both counts."""
+        if {len(d_opt), len(d1_opt)} != {self.m}:
+            raise ValueError(f"optima of {len(d_opt)} and {len(d1_opt)} runs cannot "
+                             f"be cached for an ensemble of m={self.m} new runs")
         s = self.scenarios[idx]
         _, spec, params, base = next(g for g in self._groups if g[1] is s.spec)
         j = params.index(s.params)

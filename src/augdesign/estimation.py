@@ -18,15 +18,10 @@ from typing import Optional
 
 import numpy as np
 
-from .glm import (
-    InvalidPredictorError,
-    Link,
-    MissingGammaError,
-    ModelSpec,
-    regressor_matrix,
-)
+from .glm import Link, MissingGammaError, ModelSpec, regressor_matrix
 from .information import (
-    Design, cholesky, factor_log_det, read_csv, require_inside, write_csv,
+    Design, cholesky, factor_log_det, read_csv, require_inside, weighted_gram,
+    write_csv,
 )
 
 MAX_SCORING_ITERATIONS = 100
@@ -205,9 +200,8 @@ def _score_and_info(
 ) -> tuple[np.ndarray, np.ndarray]:
     eta = Z @ beta
     mu = link.mean(eta)
-    w = link.weight(eta)
     u = (y - mu) / (mu * mu) * link.dmu(mu)
-    return Z.T @ u, (Z * w[:, None]).T @ Z
+    return Z.T @ u, weighted_gram(link, Z, eta)[0]
 
 
 def _starting_point(link: Link, Z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -237,10 +231,11 @@ def fit(
 ) -> FittedModel:
     """Maximum-likelihood fit of a Gamma GLM to one response of a dataset.
 
-    Coefficients come from Fisher scoring with step-halving; the shape
-    parameter from a one-dimensional profile-likelihood search given the
-    fitted means; standard errors from the inverse expected information
-    evaluated at the estimates.  BIC counts the shape parameter.
+    Coefficients come from Fisher scoring, halving a step while it leaves
+    the link domain or lowers the likelihood; the shape parameter from a
+    one-dimensional profile-likelihood search given the fitted means;
+    standard errors from the inverse expected information at the estimates.
+    BIC counts the shape parameter.
     """
     from scipy.linalg import cho_solve
     from scipy.optimize import minimize_scalar
@@ -264,13 +259,11 @@ def fit(
         scale = 1.0
         for _ in range(MAX_STEP_HALVINGS):
             trial = beta + scale * step
-            try:
-                value = gamma_log_likelihood(y, spec.link.mean(Z @ trial), 1.0)
-            except InvalidPredictorError:
-                scale *= 0.5
-                continue
-            if value >= current - 1e-12 * (1.0 + abs(current)):
-                break
+            eta = Z @ trial
+            if not spec.link.outside_domain(eta).any():
+                value = gamma_log_likelihood(y, spec.link.mean(eta), 1.0)
+                if value >= current - 1e-12 * (1.0 + abs(current)):
+                    break
             scale *= 0.5
         else:
             raise DivergenceError(

@@ -21,7 +21,8 @@ COORD_MAX = 2.0
 
 
 class InvalidPredictorError(ValueError):
-    """Identity/inverse link evaluated at a nonpositive linear predictor."""
+    """A predictor outside the link's domain where an API call needs all
+    inside; raised by ``require_inside`` alone, naming the model."""
 
 
 class MissingGammaError(ValueError):
@@ -36,26 +37,16 @@ class Link(enum.Enum):
     def outside_domain(self, eta):
         """Where the predictors lie outside the link's domain, elementwise:
         nowhere for the log link, at nonpositive values for identity and
-        inverse (a NaN is not flagged)."""
+        inverse (a NaN is not flagged); ``mean`` and ``weight`` never check."""
         if self is Link.LOG:
             return np.zeros(np.shape(eta), dtype=bool)
         return np.asarray(eta) <= 0.0
-
-    def _check_domain(self, eta) -> None:
-        """Raise unless every predictor lies in the link's domain."""
-        bad = self.outside_domain(eta)
-        if bad.any():
-            raise InvalidPredictorError(
-                f"{self.value} link requires positive predictors, got "
-                f"{float(np.asarray(eta)[bad].flat[0])}"
-            )
 
     def mean(self, eta):
         """Inverse link: map linear predictors (scalar or array) to Gamma means."""
         if self is Link.LOG:
             return np.exp(eta)
-        self._check_domain(eta)
-        return eta if self is Link.IDENTITY else 1.0 / eta
+        return eta if self is Link.IDENTITY else np.divide(1.0, eta)
 
     def eta(self, mu):
         """Link function: map positive Gamma means to linear predictors."""
@@ -76,8 +67,7 @@ class Link(enum.Enum):
         """
         if self is Link.LOG:
             return np.ones_like(eta)
-        self._check_domain(eta)
-        return 1.0 / (eta * eta)
+        return np.divide(1.0, eta * eta)
 
 
 class TermKind(enum.Enum):

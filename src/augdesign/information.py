@@ -14,6 +14,7 @@ from .glm import (
     COORD_MIN,
     GLOBAL_FACTORS,
     InvalidPredictorError,
+    Link,
     MissingGammaError,
     ModelSpec,
     ParamPoint,
@@ -154,8 +155,7 @@ def augmented_info_entries(
     predictors all lie in the link domain, or True when all of them do.  The
     leading axis has length T = 1, whose runs are assembled under every
     parameter point, or T = S, whose row j is assembled under point j only.
-    A run outside the domain is weighted at the placeholder predictor 1, so
-    a masked matrix is finite but means nothing.
+    The weighting and the mask are ``weighted_gram``'s.
     """
     if len(coords) not in (1, len(params)):
         raise ValueError(f"{len(coords)} rows of coordinates for "
@@ -177,15 +177,25 @@ def augmented_info_entries(
     else:
         zb = np.stack([z @ np.asarray(q.beta) for z, q in zip(Z, params)])
     gamma = np.array([q.gamma for q in params]).reshape(-1, *(1,) * (days.ndim - 1))
-    eta = zb + days * gamma
-    try:
-        w = spec.link.weight(eta)
-        inside = True
-    except InvalidPredictorError:
-        outside = spec.link.outside_domain(eta)
-        w = spec.link.weight(np.where(outside, 1.0, eta))
+    return weighted_gram(spec.link, Zs, zb + days * gamma)
+
+
+def weighted_gram(link: Link, Z: np.ndarray, eta: np.ndarray):
+    """Z^T W Z over the last two axes of (..., n, q) regressors, with W the
+    link weights of their (..., n) predictors, and the (...) mask of the
+    matrices whose predictors all lie in the link domain, or True when all
+    of them do.  A predictor outside the domain is weighted at the
+    placeholder 1, so a masked matrix is finite but means nothing.
+    """
+    outside = link.outside_domain(eta)
+    inside = True
+    # Building the per-matrix mask costs more than the weights, so only a
+    # stack that holds an outside predictor pays for it.
+    if outside.any():
+        eta = np.where(outside, 1.0, eta)
         inside = ~outside.any(axis=-1)
-    return (Zs * w[..., None]).swapaxes(-1, -2) @ Zs, inside
+    w = link.weight(eta)
+    return (Z * w[..., None]).swapaxes(-1, -2) @ Z, inside
 
 
 def require_inside(spec: ModelSpec, inside, what: str) -> None:

@@ -694,6 +694,23 @@ def test_set_optimal_equals_the_scalar_criteria(gammas):
         )
 
 
+def test_set_optimal_rejects_optima_of_another_run_count():
+    # The bundled optima have 4 runs; a 3-run ensemble must not cache them
+    # as its denominators.  score still takes stacks of any run count.
+    ens = data.model_ensemble("fixed", 3)
+    d_opt = data.LOCAL_D_OPTIMAL["temperature"]
+    d1_opt = data.LOCAL_D1_OPTIMAL["temperature"]
+    d_three, d1_three = (Design(d.coords[:3], d.days[:3]) for d in (d_opt, d1_opt))
+    for pair in ((d_opt, d1_opt), (d_three, d1_opt)):
+        with pytest.raises(ValueError, match="4 runs .* m=3 new runs"):
+            ens.set_optimal(0, *pair)
+    assert ens.cache == {}
+    ens.set_optimal(0, d_three, d1_three)
+    assert ens.cache[0].phi_d_at_d_opt > 0
+    assert (ens.score(np.zeros((1, 0, 4))).D == 0).all()
+    assert (ens.score(d_opt.coords[None]).D > 0).all()
+
+
 def test_d1_ratio_uses_d_optimum_denominator(local_ensembles):
     ens = local_ensembles["temperature"]
     s = ens.scenarios[0]

@@ -197,6 +197,42 @@ class TestFitProperties:
         assert model.n == 34
         assert len(model.std_errors) == model.spec.p + 1
 
+    def test_step_halving_keeps_the_fit_inside_the_domain(self, monkeypatch):
+        # Temperature terms under the inverse link, on CCD temperatures times
+        # lognormal noise: one Fisher step puts a predictor below 0 and is
+        # halved.  The estimates are pinned; errstate makes a likelihood
+        # evaluated outside the domain fail instead of halving on a NaN.
+        base = data.MODELS["temperature"]
+        spec = ModelSpec("temperature", Link.INVERSE, base.factors, base.terms)
+        ccd = data.ccd_dataset()
+        noise = np.exp(np.random.default_rng(3).normal(0.0, 0.6, len(ccd)))
+        ds = Dataset(ccd.coords, ccd.days,
+                     {"temperature": ccd.responses["temperature"] * noise})
+        flags = []
+        outside_domain = Link.outside_domain
+
+        def spy(link, eta):
+            flags.append(bool(np.any(outside_domain(link, eta))))
+            return outside_domain(link, eta)
+
+        monkeypatch.setattr(Link, "outside_domain", spy)
+        with np.errstate(all="raise"):
+            model = fit(spec, ds, "temperature")
+        assert any(flags)
+        expect = {
+            "beta_hat": (0.0005167241463543978, -8.042396379527913e-05,
+                         0.0002484446611775978, 5.513976874043851e-05,
+                         8.674787210255371e-05),
+            "nu_hat": 3.0393634038022657,
+            "std_errors": (6.92914475104634e-05, 5.355192991546087e-05,
+                           8.042016787408703e-05, 5.2873940993655765e-05,
+                           6.559487994667475e-05),
+            "log_likelihood": -248.2681781209815,
+            "bic": 516.9435405319359,
+        }
+        for key, value in expect.items():
+            assert getattr(model, key) == pytest.approx(value, rel=1e-12), key
+
     def test_rank_deficient_rejected(self):
         spec = ModelSpec(
             "bad", Link.LOG, ("L",),

@@ -21,6 +21,7 @@ from augdesign import (
     regressor_matrix,
 )
 from augdesign import data
+from augdesign.information import require_inside, weighted_gram
 from mp_oracle import mp_regressors
 
 coords_strategy = st.tuples(
@@ -40,8 +41,17 @@ class TestLink:
 
     @pytest.mark.parametrize("link", [Link.IDENTITY, Link.INVERSE])
     def test_nonpositive_predictor_rejected(self, link):
-        with pytest.raises(InvalidPredictorError):
-            link.mean(0.0)
+        # The link flags 0 and -1 and maps them without raising;
+        # require_inside raises at the API edge.
+        assert link.outside_domain(0.0) and link.outside_domain(-1.0)
+        with np.errstate(divide="ignore"):
+            assert link.weight(0.0) == np.inf and link.weight(-1.0) == 1.0
+        assert link.mean(-1.0) == -1.0
+        eta = np.array([0.5, 0.0, -1.0, 2.0])
+        assert link.outside_domain(eta).tolist() == [False, True, True, False]
+        spec = ModelSpec("m", link, ("L",), (Term.intercept(), Term.main(0)))
+        with pytest.raises(InvalidPredictorError, match="under model 'm'"):
+            require_inside(spec, ~link.outside_domain(eta), "the design")
 
     def test_log_weight_is_one(self):
         assert Link.LOG.weight(-7.0) == 1.0
@@ -52,8 +62,16 @@ class TestLink:
 
     @pytest.mark.parametrize("link", [Link.IDENTITY, Link.INVERSE])
     def test_weight_domain(self, link):
-        with pytest.raises(InvalidPredictorError):
-            link.weight(-1.0)
+        # weighted_gram masks exactly the matrices holding a predictor of 0
+        # or -1, and weights the others by 1/eta^2.
+        Z = np.arange(1.0, 19.0).reshape(3, 3, 2)
+        eta = np.array([[4.0, 0.5, 2.0], [4.0, 0.0, 2.0], [-1.0, 0.5, 2.0]])
+        gram, inside = weighted_gram(link, Z, eta)
+        assert inside.tolist() == [True, False, False]
+        assert np.isfinite(gram).all()
+        want = (Z[0] * link.weight(eta[0])[:, None]).T @ Z[0]
+        np.testing.assert_array_equal(gram[0], want)
+        assert weighted_gram(link, Z[:1], eta[:1])[1] is True
 
     @pytest.mark.parametrize("link", list(Link))
     def test_eta_inverts_mean(self, link):

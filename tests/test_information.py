@@ -9,8 +9,10 @@ from hypothesis.extra.numpy import arrays
 
 from augdesign import GLOBAL_FACTORS, Design, fisher_info
 from augdesign import data
-from augdesign.glm import COORD_MAX, COORD_MIN
-from augdesign.information import SINGULAR_TOL, _nonsingular, cholesky
+from augdesign.glm import COORD_MAX, COORD_MIN, Link
+from augdesign.information import (
+    SINGULAR_TOL, _nonsingular, cholesky, weighted_gram,
+)
 from mp_oracle import mp_info
 from scalar_oracle import MINUS_INF, inv_quadratic_form, log_det
 from scalar_oracle import cholesky as reference_cholesky
@@ -218,6 +220,40 @@ def test_stacked_cholesky_matches_the_single_matrix_reference(items):
         assert good == (reference is not None)
         if good:
             assert np.array_equal(factor, reference)
+
+
+predictors = st.one_of(
+    st.floats(1e-3, 50.0), st.floats(-50.0, -1e-3), st.sampled_from([0.0, -1.0])
+)
+gram_stacks = st.tuples(
+    st.integers(1, 3), st.integers(1, 4), st.integers(1, 5), st.integers(1, 6)
+).flatmap(
+    lambda d: st.tuples(
+        st.sampled_from(list(Link)),
+        arrays(np.float64, d, elements=st.floats(-2.0, 2.0)),
+        arrays(np.float64, d[:3], elements=predictors),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=gram_stacks)
+@example(case=(Link.INVERSE, np.ones((2, 3, 4, 2)), np.full((2, 3, 4), 2.0)))
+@example(case=(Link.IDENTITY, np.ones((1, 2, 2, 3)),
+               np.array([[[1.0, 0.0], [-1.0, 2.0]]])))
+def test_weighted_gram_equals_one_matrix_at_a_time(case):
+    # On an (S, k, m) stack of predictors, every matrix that lies in the
+    # domain equals its own (Z w)^T Z bit for bit, and the mask flags the
+    # matrices holding a predictor outside it.
+    link, Z, eta = case
+    gram, inside = weighted_gram(link, Z, eta)
+    feasible = ~link.outside_domain(eta).any(-1)
+    assert gram.shape == (*eta.shape[:-1], Z.shape[-1], Z.shape[-1])
+    assert np.array_equal(np.broadcast_to(inside, feasible.shape), feasible)
+    assert np.isfinite(gram).all()
+    for idx in zip(*np.nonzero(feasible)):
+        z, w = Z[idx], link.weight(eta[idx])
+        assert np.array_equal(gram[idx], (z * w[:, None]).T @ z)
 
 
 def test_inv_quadratic_form_matches_determinant_ratio():
