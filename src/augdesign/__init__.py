@@ -8,7 +8,6 @@ and compromise criteria via particle swarm search.
 from .criteria import (
     DegenerateOptimumError,
     MissingCacheError,
-    OptimalValues,
     Scenario,
     ScenarioEnsemble,
     StackScores,

@@ -4,13 +4,12 @@ and the alpha-compromise between estimation and day-effect testing."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .glm import ModelSpec, ParamPoint
+from .glm import Link, ModelSpec, ParamPoint, is_number
 from .information import (
     Design,
     augmented_info_entries,
@@ -59,8 +58,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         w = self.weight
-        if (isinstance(w, bool) or not isinstance(w, numbers.Real)
-                or not 0 < w < math.inf):
+        if not is_number(w) or not 0 < w < math.inf:
             raise ValueError(f"scenario for model {self.spec.name!r} has weight "
                              f"{w!r}; a weight must be a positive finite number")
         if self.params.gamma is None:
@@ -72,7 +70,7 @@ class Scenario:
                 f"{self.spec.p} terms"
             )
         values = (*self.params.beta, self.params.gamma)
-        if not all(isinstance(v, numbers.Real) for v in values):
+        if not all(map(is_number, values)):
             raise ValueError(
                 f"scenario for model {self.spec.name!r} has a coefficient or "
                 "day effect that is not a number"
@@ -86,13 +84,15 @@ class Scenario:
         object.__setattr__(self, "params", params)
 
 
-@dataclass
-class OptimalValues:
-    """Cached criterion values at a scenario's locally optimal designs."""
+@dataclass(eq=False, slots=True)
+class _Entry:
+    """A scenario's row of the scores, its model and column there, and optima
+    (D at the D-, D1 at the D1-, D1 at the D-optimum), None until cached."""
 
-    phi_d_at_d_opt: float
-    phi_d1_at_d1_opt: float
-    phi_d1_at_d_opt: float
+    row: int
+    model: tuple
+    column: int
+    optima: Optional[tuple[float, float, float]] = None
 
 
 class ScenarioEnsemble:
@@ -121,32 +121,38 @@ class ScenarioEnsemble:
         ]
         self.initial_design = initial_design
         self.m = m
-        self.cache: dict[int, OptimalValues] = {}
         # The last Design scored by ``score_design`` and its scores; until
         # then a fresh object, which no argument can be, stands in.
         self._kept: tuple = (object(), None)
-        # Scenario positions keyed by spec identity, not value: hashing a
-        # ModelSpec costs microseconds on every criterion call.
-        self._positions: dict[tuple[int, ParamPoint], int] = {}
-        rows: dict[int, list[int]] = {}
+        # Per model, the rows of each information class: all of them under a
+        # log link, whose weight is 1 whatever beta and gamma are, otherwise
+        # the rows of equal parameters.
+        grouped: dict[int, dict[Optional[ParamPoint], list[int]]] = {}
         for i, s in enumerate(self.scenarios):
-            self._positions.setdefault((id(s.spec), s.params), i)
-            rows.setdefault(id(s.spec), []).append(i)
-        # The scenarios of one model, scored together by ``score``: their
-        # rows, the model, their parameters and their (S, 1, p+1, p+1)
-        # initial blocks, assembled in one call.  The rows are a slice when
-        # they are adjacent, as model_ensemble orders them, because writing
-        # to a slice is cheaper than to an index array.
+            key = None if s.spec.link is Link.LOG else s.params
+            grouped.setdefault(id(s.spec), {}).setdefault(key, []).append(i)
         coords = initial_design.coords[None]
         days = np.zeros(coords.shape[:-1])
-        self._groups = []
-        for r in rows.values():
+        # Per model: the rows (a slice when adjacent, as model_ensemble orders
+        # them, because writing to a slice is cheaper than to an index array),
+        # the model, the parameters, their (S, 1, p+1, p+1) initial blocks in
+        # one call, and the classes.  _index keys the entries by spec identity
+        # (hashing a ModelSpec costs microseconds); a repeat keys its first.
+        self._table: list[_Entry] = [None] * len(self.scenarios)
+        self._index: dict[tuple[int, ParamPoint], _Entry] = {}
+        self._models = []
+        for shared in grouped.values():
+            r = sorted(i for members in shared.values() for i in members)
             spec = self.scenarios[r[0]].spec
             params = tuple(self.scenarios[i].params for i in r)
             base, inside = augmented_info_entries(spec, params, coords, days)
             require_inside(spec, inside, "the initial design")
-            r = slice(r[0], r[-1] + 1) if r[-1] - r[0] == len(r) - 1 else np.array(r)
-            self._groups.append((r, spec, params, base[:, None]))
+            rows = slice(r[0], r[-1] + 1) if r[-1] - r[0] == len(r) - 1 else np.array(r)
+            classes = tuple(map(tuple, shared.values()))
+            self._models.append((rows, spec, params, base[:, None], classes))
+            for column, (i, q) in enumerate(zip(r, params)):
+                self._table[i] = _Entry(i, self._models[-1], column)
+                self._index.setdefault((id(spec), q), self._table[i])
 
     def score(self, stack: np.ndarray) -> StackScores:
         """The D and D1 criteria of k designs of new day-1 runs under every
@@ -166,7 +172,7 @@ class ScenarioEnsemble:
             )
         values = np.empty((2, len(self.scenarios), stack.shape[-3]))
         ok = np.empty(values.shape[1:], dtype=bool)
-        for rows, spec, params, base in self._groups:
+        for rows, spec, params, base, _ in self._models:
             (values[0, rows], values[1, rows]), ok[rows] = _score_model(
                 spec, params, base, stack[rows] if aligned else stack[None]
             )
@@ -190,28 +196,20 @@ class ScenarioEnsemble:
         return scores
 
     def set_optimal(self, idx: int, d_opt: Design, d1_opt: Design) -> None:
-        """Populate the cache from explicit locally optimal designs, scored as
-        one stack of two against the scenario's model.  Each must have the
-        ensemble's m runs, or ``ValueError`` names both counts."""
+        """Cache the scenario's optima from explicit locally optimal designs,
+        scored as one stack of two against the scenario's model.  Each must
+        have the ensemble's m runs, or ``ValueError`` names both counts."""
         if {len(d_opt), len(d1_opt)} != {self.m}:
             raise ValueError(f"optima of {len(d_opt)} and {len(d1_opt)} runs cannot "
                              f"be cached for an ensemble of m={self.m} new runs")
-        s = self.scenarios[idx]
-        _, spec, params, base = next(g for g in self._groups if g[1] is s.spec)
-        j = params.index(s.params)
+        entry = self._table[idx]
+        _, spec, params, base, _ = entry.model
         stack = np.stack([_new_coords(d_opt), _new_coords(d1_opt)])
         values, ok = _score_model(spec, params, base, stack[None])
-        (vd, _), (vd1_at_d, vd1) = np.where(ok, values, 0.0)[:, j]
+        (vd, _), (vd1_at_d, vd1) = np.where(ok, values, 0.0)[:, entry.column]
         if vd <= 0 or vd1 <= 0 or vd1_at_d <= 0:
             raise DegenerateOptimumError("cached optimal values must be positive")
-        self.cache[idx] = OptimalValues(float(vd), float(vd1), float(vd1_at_d))
-
-    def require_cache(self, idx: int) -> OptimalValues:
-        if idx not in self.cache:
-            raise MissingCacheError(
-                f"no cached optimum for scenario {idx}; build the cache first"
-            )
-        return self.cache[idx]
+        entry.optima = (float(vd), float(vd1), float(vd1_at_d))
 
 
 def _score_model(spec: ModelSpec, params: tuple, base: np.ndarray,
@@ -237,13 +235,6 @@ def _score_model(spec: ModelSpec, params: tuple, base: np.ndarray,
     return values, ok.reshape(shape) & feasible
 
 
-def _position(ensemble: ScenarioEnsemble, scenario: Scenario) -> int:
-    try:
-        return ensemble._positions[(id(scenario.spec), scenario.params)]
-    except KeyError:
-        raise KeyError("scenario does not belong to this ensemble") from None
-
-
 def _new_coords(design: Design) -> np.ndarray:
     """The (m, 4) coordinates of a Design whose runs all carry day=1."""
     if not isinstance(design, Design):
@@ -263,31 +254,38 @@ def _scored(ensemble: ScenarioEnsemble, new_runs: NewRuns) -> StackScores:
     return ensemble.score_design(new_runs)
 
 
+def _relative(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble,
+              criterion: int, optimum: int):
+    """The scenario's row of score ``criterion`` (0 for D, 1 for D1) over its
+    cached ``optima[optimum]``; a KeyError outside the ensemble."""
+    entry = ensemble._index.get((id(scenario.spec), scenario.params))
+    if entry is None:
+        raise KeyError("scenario does not belong to this ensemble")
+    if entry.optima is None:
+        raise MissingCacheError(f"no cached optimum for scenario {entry.row}; "
+                                "build the cache first")
+    return _scored(ensemble, new_runs)[criterion][entry.row] / entry.optima[optimum]
+
+
 def eff_D(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble):
     """The D criterion relative to its cached optimum, read from the
     scenario's row of the scores: a Design gives one value, and the
     StackScores of k designs give k values."""
-    idx = _position(ensemble, scenario)
-    opt = ensemble.require_cache(idx)
-    return _scored(ensemble, new_runs).D[idx] / opt.phi_d_at_d_opt
+    return _relative(scenario, new_runs, ensemble, 0, 0)
 
 
 def eff_D1(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble):
     """The D1 criterion relative to its cached optimum, read from the
     scenario's row of the scores: a Design gives one value, and the
     StackScores of k designs give k values."""
-    idx = _position(ensemble, scenario)
-    opt = ensemble.require_cache(idx)
-    return _scored(ensemble, new_runs).D1[idx] / opt.phi_d1_at_d1_opt
+    return _relative(scenario, new_runs, ensemble, 1, 1)
 
 
 def d1_ratio_vs_d_optimum(
     scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble
 ) -> float:
     """Phi_D1 of the candidate relative to Phi_D1 at the locally D-optimal design."""
-    idx = _position(ensemble, scenario)
-    opt = ensemble.require_cache(idx)
-    return _scored(ensemble, new_runs).D1[idx] / opt.phi_d1_at_d_opt
+    return _relative(scenario, new_runs, ensemble, 1, 2)
 
 
 def phi_bayes(ensemble: ScenarioEnsemble, new_runs: NewRuns, flavor: str):

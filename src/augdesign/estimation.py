@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .glm import Link, MissingGammaError, ModelSpec, regressor_matrix
+from .glm import Link, MissingGammaError, ModelSpec, is_number, regressor_matrix
 from .information import (
     Design, cholesky, factor_log_det, read_csv, require_inside, weighted_gram,
     write_csv,
@@ -99,7 +98,7 @@ class Dataset(Design):
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and math.isfinite(value)
+    return is_number(value) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -249,6 +248,9 @@ def fit(
     n, k = Z.shape
     if n < k + 1:
         raise RankDeficientError(f"{n} runs cannot identify {k} coefficients")
+    if include_day_effect and (data.days == data.days[0]).all():
+        raise RankDeficientError("the day effect needs runs on both day 0 and "
+                                 f"day 1, but every run has day {data.days[0]}")
 
     # Scoring maximizes the log-likelihood over beta at a fixed shape nu = 1.
     beta = _starting_point(spec.link, Z, y)

@@ -9,6 +9,7 @@ under every model.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,6 +19,11 @@ GLOBAL_FACTORS: tuple[str, ...] = ("L", "K", "D", "FDV")
 
 COORD_MIN = -2.0
 COORD_MAX = 2.0
+
+
+def is_number(value) -> bool:
+    """A real number that is not a bool: JSON ``true`` is never read as 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class InvalidPredictorError(ValueError):

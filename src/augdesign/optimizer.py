@@ -10,7 +10,7 @@ import numpy as np
 
 from .criteria import Scenario, ScenarioEnsemble, phi_compromise
 from .data import PUBLISHED_DESIGNS
-from .glm import COORD_MAX, COORD_MIN, GLOBAL_FACTORS as COORD_NAMES, Link
+from .glm import COORD_MAX, COORD_MIN, GLOBAL_FACTORS as COORD_NAMES
 from .information import Design
 
 Objective = Callable[[np.ndarray], np.ndarray]
@@ -252,23 +252,17 @@ def build_cache(ensemble: ScenarioEnsemble, config: PsoConfig) -> ScenarioEnsemb
     """Populate the ensemble's locally-optimal-value cache by running both
     local searches for every scenario.  Returns the same ensemble.
 
-    Scenarios of one model share their searches when their information is
-    equal: always under a log link, whose weight is 1 whatever beta and
-    gamma are, and otherwise only at equal parameters.  The D and D1
-    searches of one model run in one ``solve_local`` call.
+    The scenarios of one information class of the ensemble share their
+    searches, and the D and D1 searches of one model run in one
+    ``solve_local`` call.
     """
-    # Per model, the scenario positions of each distinct information.
-    models: dict[int, dict[tuple, list[int]]] = {}
-    for idx, scenario in enumerate(ensemble.scenarios):
-        key = () if scenario.spec.link is Link.LOG else (scenario.params,)
-        models.setdefault(id(scenario.spec), {}).setdefault(key, []).append(idx)
-    for shared in models.values():
+    for *_, classes in ensemble._models:
         searches = [(ensemble.scenarios[members[0]], flavor)
-                    for members in shared.values() for flavor in ("D", "D1")]
-        # The results come in (D, D1) pairs, one pair per information.
+                    for members in classes for flavor in ("D", "D1")]
+        # The results come in (D, D1) pairs, one pair per class.
         results = iter(solve_local(searches, ensemble.initial_design,
                                    ensemble.m, config))
-        for members, d_opt, d1_opt in zip(shared.values(), results, results):
+        for members, d_opt, d1_opt in zip(classes, results, results):
             for idx in members:
                 ensemble.set_optimal(idx, d_opt.best_design, d1_opt.best_design)
     return ensemble

@@ -134,6 +134,15 @@ class TestFitCommand:
         assert code == EXIT_FIT
         assert "fit error: expected information is singular" in err
 
+    def test_day_effect_without_day_one_runs_is_fit_error(self, capsys):
+        # The bundled data are the 30 day-0 runs of the initial design.
+        code, _, err = run_cli(
+            capsys, "fit", "--bundled", "temperature", "--day-effect"
+        )
+        assert code == EXIT_FIT
+        assert ("fit error: the day effect needs runs on both day 0 and day 1, "
+                "but every run has day 0") in err
+
     def test_link_override_worsens_bic(self, capsys):
         code, stdout, _ = run_cli(
             capsys, "fit", "--bundled", "temperature", "--link", "log"
@@ -574,11 +583,14 @@ NOT_A_NUMBER = (
     [
         ("beta", [BETA[0], "abc", *BETA[2:]], NOT_A_NUMBER),
         ("beta", [BETA[0], None, *BETA[2:]], NOT_A_NUMBER),
+        ("beta", [True, *BETA[1:]], NOT_A_NUMBER),
         ("gamma", "abc", NOT_A_NUMBER),
+        ("gamma", True, NOT_A_NUMBER),
         ("model", "temperature", 'scenario.json: a scenario needs a "model" object'),
         ("beta", 5.0, 'scenario.json: a scenario needs a "beta" list'),
     ],
-    ids=["beta-string", "beta-null", "gamma-string", "model-string", "beta-number"],
+    ids=["beta-string", "beta-null", "beta-bool", "gamma-string", "gamma-bool",
+         "model-string", "beta-number"],
 )
 def test_malformed_scenario_is_parse_error(capsys, tmp_path, field, value, named):
     d = {
@@ -676,12 +688,18 @@ class TestPredictCommand:
              '"beta_hat" must hold 5 finite real numbers'),
             (lambda d: {**d, "beta_hat": [float("nan"), *d["beta_hat"][1:]]},
              '"beta_hat" must hold 5 finite real numbers'),
+            (lambda d: {**d, "beta_hat": [True, *d["beta_hat"][1:]]},
+             '"beta_hat" must hold 5 finite real numbers'),
             (lambda d: {**d, "gamma_hat": "abc"},
              '"gamma_hat" must be a finite real number or null'),
+            (lambda d: {**d, "gamma_hat": True},
+             '"gamma_hat" must be a finite real number or null'),
             (lambda d: {**d, "nu_hat": None}, '"nu_hat" must be a finite real number'),
+            (lambda d: {**d, "nu_hat": True}, '"nu_hat" must be a finite real number'),
         ],
         ids=["not-an-object", "model-missing", "beta-string", "beta-short",
-             "beta-nan", "gamma-string", "nu-null"],
+             "beta-nan", "beta-bool", "gamma-string", "gamma-bool", "nu-null",
+             "nu-bool"],
     )
     def test_malformed_model_file_is_parse_error(
         self, capsys, fitted, tmp_path, change, named

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from augdesign import (
     Design,
     MissingCacheError,
-    OptimalValues,
     ParamPoint,
     Scenario,
     ScenarioEnsemble,
@@ -107,7 +106,7 @@ class TestEnsemble:
         # scenarios; each equals that scenario's own information bit for bit.
         # STACK_ENSEMBLE adds scenarios whose beta differs within a model.
         ens = data.model_ensemble(gammas) if gammas else STACK_ENSEMBLE
-        for rows, spec, params, base in ens._groups:
+        for rows, spec, params, base, _ in ens._models:
             assert base.shape[:2] == (len(params), 1)
             for block, q in zip(base[:, 0], params):
                 assert np.array_equal(
@@ -136,6 +135,21 @@ class TestEnsemble:
         ens = data.single_scenario_ensemble("velocity")
         with pytest.raises(MissingCacheError):
             eff_D(ens.scenarios[0], data.REFERENCE_DESIGN, ens)
+
+    @pytest.mark.parametrize("reader", [eff_D, eff_D1, d1_ratio_vs_d_optimum])
+    def test_each_reader_reads_its_own_scenarios_optima(self, reader):
+        ens = data.model_ensemble("fixed")
+        for i, name in enumerate(data.RESPONSES):
+            if i != 2:
+                ens.set_optimal(i, data.LOCAL_D_OPTIMAL[name],
+                                data.LOCAL_D1_OPTIMAL[name])
+        with pytest.raises(MissingCacheError, match="no cached optimum for scenario 2;"):
+            reader(ens.scenarios[2], data.REFERENCE_DESIGN, ens)
+        for i in (1, 3):
+            assert reader(ens.scenarios[i], data.REFERENCE_DESIGN, ens) > 0.0
+        # Same model object, other parameters: not one of the ensemble's.
+        with pytest.raises(KeyError, match="does not belong to this ensemble"):
+            reader(scaled_scenario("temperature", 2.0), data.REFERENCE_DESIGN, ens)
 
 
 # pm10pm20 holds five day-effect values per model, so drawing a model and a
@@ -410,11 +424,10 @@ def scalar_criteria(ens, designs):
     cached optima."""
     effs = {
         flavor: np.array([
-            [phi(s, d, ens) / getattr(ens.cache[i], opt) for d in designs]
+            [phi(s, d, ens) / ens._table[i].optima[opt] for d in designs]
             for i, s in enumerate(ens.scenarios)
         ])
-        for flavor, phi, opt in (("D", phi_D, "phi_d_at_d_opt"),
-                                 ("D1", phi_D1, "phi_d1_at_d1_opt"))
+        for flavor, phi, opt in (("D", phi_D, 0), ("D1", phi_D1, 1))
     }
     bayes = {
         flavor: sum(s.weight * row for s, row in zip(ens.scenarios, eff))
@@ -517,7 +530,7 @@ class TestStacked:
         values = eff_D(LOW, ens.score(CORNER_STACK), ens)
         assert values[-1] > 0.0
         assert np.any(values[:-1] == 0.0)
-        opt = ens.cache[ens.scenarios.index(LOW)].phi_d_at_d_opt
+        opt = ens._table[ens.scenarios.index(LOW)].optima[0]
         assert_same_as_scalar(
             values, [phi_D(LOW, d, ens) / opt for d in CORNER_STACK]
         )
@@ -689,9 +702,11 @@ def test_set_optimal_equals_the_scalar_criteria(gammas):
         d_opt = data.LOCAL_D_OPTIMAL[s.spec.name]
         d1_opt = data.LOCAL_D1_OPTIMAL[s.spec.name]
         ens.set_optimal(i, d_opt, d1_opt)
-        assert ens.cache[i] == OptimalValues(
+        optima = ens._table[i].optima
+        assert optima == (
             phi_D(s, d_opt, ens), phi_D1(s, d1_opt, ens), phi_D1(s, d_opt, ens)
         )
+        assert all(type(v) is float for v in optima)
 
 
 def test_set_optimal_rejects_optima_of_another_run_count():
@@ -704,9 +719,9 @@ def test_set_optimal_rejects_optima_of_another_run_count():
     for pair in ((d_opt, d1_opt), (d_three, d1_opt)):
         with pytest.raises(ValueError, match="4 runs .* m=3 new runs"):
             ens.set_optimal(0, *pair)
-    assert ens.cache == {}
+    assert all(entry.optima is None for entry in ens._table)
     ens.set_optimal(0, d_three, d1_three)
-    assert ens.cache[0].phi_d_at_d_opt > 0
+    assert ens._table[0].optima[0] > 0
     assert (ens.score(np.zeros((1, 0, 4))).D == 0).all()
     assert (ens.score(d_opt.coords[None]).D > 0).all()
 

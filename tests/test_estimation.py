@@ -242,6 +242,16 @@ class TestFitProperties:
         with pytest.raises(RankDeficientError):
             fit(spec, ds, "y")
 
+    @pytest.mark.parametrize("day", [0, 1])
+    def test_day_effect_needs_both_days(self, day):
+        ds = data.ccd_dataset()
+        one_day = Dataset(ds.coords, np.full(len(ds), day), ds.responses)
+        with pytest.raises(RankDeficientError, match=(
+            f"day effect needs runs on both day 0 and day 1, but every run has day {day}"
+        )):
+            fit(data.MODELS["temperature"], one_day, "temperature",
+                include_day_effect=True)
+
     def test_too_few_runs_rejected(self):
         ds = Dataset([[0, 0, 0, 0], [1, 0, 0, 0]], [0, 0], {"y": np.array([1.0, 2.0])})
         with pytest.raises(RankDeficientError):

@@ -151,18 +151,17 @@ class TestCache:
     def test_single_scenario_cache_entries(self):
         ens = data.single_scenario_ensemble("flame_width")
         build_cache(ens, SMALL)
-        cached = ens.require_cache(0)
-        assert cached.phi_d_at_d_opt > 0
-        assert cached.phi_d1_at_d1_opt > 0
-        assert cached.phi_d1_at_d_opt > 0
+        d_at_d, d1_at_d1, d1_at_d = ens._table[0].optima
+        assert d_at_d > 0
+        assert d1_at_d1 > 0
+        assert d1_at_d > 0
 
     def test_cache_rebuild_is_identical(self):
         values = []
         for _ in range(2):
             ens = data.single_scenario_ensemble("velocity")
             build_cache(ens, SMALL)
-            c = ens.require_cache(0)
-            values.append((c.phi_d_at_d_opt, c.phi_d1_at_d1_opt, c.phi_d1_at_d_opt))
+            values.append(ens._table[0].optima)
         assert values[0] == values[1]
 
     def test_cache_dominates_published_designs(self):
@@ -170,7 +169,7 @@ class TestCache:
             ens = data.single_scenario_ensemble(name)
             build_cache(ens, SMALL)
             published = ens.score_design(data.LOCAL_D_OPTIMAL[name]).D[0]
-            assert ens.require_cache(0).phi_d_at_d_opt >= published * (1 - 1e-6)
+            assert ens._table[0].optima[0] >= published * (1 - 1e-6)
 
 
 class TestCacheDedup:
@@ -201,7 +200,8 @@ class TestCacheDedup:
                 .best_design
                 for flavor in ("D", "D1")
             ))
-        assert shared.cache == each.cache
+        assert ([entry.optima for entry in shared._table]
+                == [entry.optima for entry in each._table])
 
 
 class TestLockstep:
