@@ -137,7 +137,7 @@ class ScenarioEnsemble:
         # them, because writing to a slice is cheaper than to an index array),
         # the model, the parameters, their (S, 1, p+1, p+1) initial blocks in
         # one call, and the classes.  _index keys the entries by spec identity
-        # (hashing a ModelSpec costs microseconds); a repeat keys its first.
+        # (hashing a ModelSpec costs microseconds); a repeat shares the first entry.
         self._table: list[_Entry] = [None] * len(self.scenarios)
         self._index: dict[tuple[int, ParamPoint], _Entry] = {}
         self._models = []
@@ -151,8 +151,8 @@ class ScenarioEnsemble:
             classes = tuple(map(tuple, shared.values()))
             self._models.append((rows, spec, params, base[:, None], classes))
             for column, (i, q) in enumerate(zip(r, params)):
-                self._table[i] = _Entry(i, self._models[-1], column)
-                self._index.setdefault((id(spec), q), self._table[i])
+                self._table[i] = self._index.setdefault(
+                    (id(spec), q), _Entry(i, self._models[-1], column))
 
     def score(self, stack: np.ndarray) -> StackScores:
         """The D and D1 criteria of k designs of new day-1 runs under every

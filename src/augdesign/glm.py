@@ -134,9 +134,11 @@ class ModelSpec:
             raise ValueError("first term must be the intercept")
         if len(set(self.terms)) != len(self.terms):
             raise ValueError("terms must be pairwise distinct")
-        for f in self.factors:
+        for i, f in enumerate(self.factors):
             if f not in GLOBAL_FACTORS:
                 raise ValueError(f"unknown factor {f!r}")
+            if f in self.factors[:i]:
+                raise ValueError(f"factor {f!r} is named twice")
         q = len(self.factors)
         for t in self.terms:
             for idx in (t.a, t.b):

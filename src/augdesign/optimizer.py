@@ -4,7 +4,7 @@ and the solvers for local, Bayesian, and compromise criteria."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,57 +43,53 @@ class PsoConfig:
             raise ValueError("seed must be non-negative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchResult:
-    """Outcome of one multi-restart swarm search.
+    """Outcome of one multi-restart swarm search: the best design, as day-1
+    runs with the unsearched factors at 0, its recomputed value, each
+    restart's trace of the best value, and the objective evaluations."""
 
-    ``best_fragment`` is the winning point in the raw search space
-    (m x search-dims); the solvers set ``best_design`` to the same runs in
-    full 4-factor coordinates, with inactive factors at 0.
-    """
-
-    best_design: Optional[Design]
+    best_design: Design
     best_value: float
     history: tuple[tuple[float, ...], ...]
     evaluations: int
-    best_fragment: Optional[np.ndarray] = None
-
-
-def _expand(fragment: np.ndarray, indices: tuple[int, ...]) -> np.ndarray:
-    """Embed (..., m, len(indices)) fragments into full 4-factor coordinates."""
-    full = np.zeros((*fragment.shape[:-1], len(COORD_NAMES)))
-    full[..., list(indices)] = fragment
-    return full
 
 
 def pso_lockstep(
     objective: Objective,
     searches: int,
     m: int,
-    dims: int,
+    indices: Sequence[int],
     config: PsoConfig,
     seeds: Sequence[np.ndarray] = (),
 ) -> list[SearchResult]:
-    """``searches`` independent global-best PSO searches over
-    [-2, 2]^(m*dims), advanced together.
+    """``searches`` independent global-best PSO searches over m-run designs,
+    advanced together.  Each particle ranges over [-2, 2] in the factors
+    ``indices``; the other factors of its designs are 0.
 
-    ``objective`` maps a (G, k, m, dims) stack, search j's k fragments in row
-    j, to (G, k) values, and must give 0 (or -inf) for infeasible fragments.
+    ``objective`` maps a (G, k, m, 4) stack of designs, search j's k in row
+    j, to (G, k) values, and must give 0 (or -inf) for infeasible designs.
     It is called on the calling thread, once per iteration with every swarm,
-    and once with a (G, 1, m, dims) stack to recompute each best fragment's
-    value.  ``seeds`` are fragments placed as initial particles in every
-    restart.  All searches share one config, so one set of random draws per
-    restart serves them all, and each search follows the path it would take
-    alone.  A search that stagnates stops there: its best point, history and
-    evaluation count keep the values of that iteration while the others go
-    on.  Returns one result per search.
+    and once with a (G, 1, m, 4) stack to recompute each best design's
+    value.  ``seeds`` are (m, 4) designs placed, over the factors
+    ``indices``, as initial particles in every restart.  All searches share
+    one config, so one set of random draws per restart serves them all, and
+    each search follows the path it would take alone.  A search that
+    stagnates stops there: its best point, history and evaluation count
+    keep the values of that iteration while the others go on.  Returns one
+    result per search.
     """
-    if m < 1 or dims < 1:
-        raise ValueError("m and dims must be positive")
-    d = m * dims
-    flat_seeds = [np.asarray(s, dtype=float).reshape(d) for s in seeds]
-    if len(flat_seeds) > config.swarm_size:
-        flat_seeds = flat_seeds[: config.swarm_size]
+    columns = list(indices)
+    if m < 1 or not columns or len(set(columns)) != len(columns):
+        raise ValueError("m must be positive and indices distinct factors")
+    d = m * len(columns)
+    flat_seeds = [np.asarray(s, dtype=float)[:, columns].reshape(d)
+                  for s in seeds[: config.swarm_size]]
+
+    def designs(flat: np.ndarray) -> np.ndarray:
+        full = np.zeros((*flat.shape[:-1], m, len(COORD_NAMES)))
+        full[..., columns] = flat.reshape(*flat.shape[:-1], m, len(columns))
+        return full
 
     span = COORD_MAX - COORD_MIN
     each = np.arange(searches)
@@ -110,7 +106,7 @@ def pso_lockstep(
             v[i] = 0.0
         x = np.repeat(x[None], searches, axis=0)
 
-        pval = objective(x.reshape(searches, -1, m, dims)).copy()
+        pval = objective(designs(x)).copy()
         pbest = x.copy()
         g = np.argmax(pval, axis=1)
         gbest, gval = pbest[each, g], pval[each, g]
@@ -134,7 +130,7 @@ def pso_lockstep(
             np.clip(x, COORD_MIN, COORD_MAX, out=x)
             v[clamped] = 0.0
 
-            values = objective(x.reshape(searches, -1, m, dims))
+            values = objective(designs(x))
             # A stopped search keeps its personal bests, so its global best
             # cannot rise either.
             improved = (values > pval) & active[:, None]
@@ -158,11 +154,11 @@ def pso_lockstep(
         better = gval > best_value
         best_value[better], best_flat[better] = gval[better], gbest[better]
 
-    fragments = best_flat.reshape(searches, 1, m, dims)
-    recomputed = objective(fragments)[:, 0]
+    best = designs(best_flat[:, None])
+    recomputed = objective(best)[:, 0]
     return [
-        SearchResult(None, float(recomputed[j]), tuple(histories[j]),
-                     int(evaluations[j]), fragments[j, 0])
+        SearchResult(Design.from_coords(best[j, 0], day=1), float(recomputed[j]),
+                     tuple(histories[j]), int(evaluations[j]))
         for j in each
     ]
 
@@ -170,46 +166,38 @@ def pso_lockstep(
 def pso_maximize(
     objective: Objective,
     m: int,
-    dims: int,
+    indices: Sequence[int],
     config: PsoConfig,
     seeds: Sequence[np.ndarray] = (),
 ) -> SearchResult:
-    """One global-best PSO search over [-2, 2]^(m*dims): ``pso_lockstep``
-    with one search.
+    """One global-best PSO search over m-run designs in the factors
+    ``indices``: ``pso_lockstep`` with one search.
 
-    ``objective`` maps a (k, m, dims) stack of fragments to k real values and
-    must give 0 (or -inf) for infeasible fragments.  It is called once per
+    ``objective`` maps a (k, m, 4) stack of designs to k real values and
+    must give 0 (or -inf) for infeasible designs.  It is called once per
     iteration with the whole swarm, and once with a stack of one to
-    recompute the best fragment's value.
+    recompute the best design's value.
     """
     (result,) = pso_lockstep(
-        lambda stack: objective(stack[0])[None], 1, m, dims, config, seeds
+        lambda stack: objective(stack[0])[None], 1, m, indices, config, seeds
     )
     return result
 
 
 def _published_seeds(m: int, indices: tuple[int, ...]) -> list[np.ndarray]:
-    """Bundled 4-run designs restricted to the active factors, plus the
-    center and an alternating-corner pattern — cheap lower-bound anchors."""
-    dims = len(indices)
-    seeds = [np.zeros((m, dims))]
-    seeds.append(np.array(
-        [[COORD_MAX if (i + j) % 2 == 0 else COORD_MIN for j in range(dims)]
-         for i in range(m)]
-    ))
+    """The center, an alternating-corner pattern over the factors
+    ``indices`` and the bundled m-run designs, as (m, 4) designs — cheap
+    lower-bound anchors."""
+    corner = np.zeros((m, len(COORD_NAMES)))
+    corner[:, list(indices)] = [
+        [COORD_MAX if (i + j) % 2 == 0 else COORD_MIN for j in range(len(indices))]
+        for i in range(m)
+    ]
+    seeds = [np.zeros((m, len(COORD_NAMES))), corner]
     for design in PUBLISHED_DESIGNS.values():
         if len(design) == m:
-            seeds.append(design.coords[:, list(indices)])
+            seeds.append(design.coords)
     return seeds
-
-
-def _with_design(result: SearchResult, indices: tuple[int, ...]) -> SearchResult:
-    """Set the result's best design: its best fragment as day-1 runs over the
-    factors ``indices``, with the other factors at 0."""
-    result.best_design = Design.from_coords(
-        _expand(result.best_fragment, indices), day=1
-    )
-    return result
 
 
 def solve_local(
@@ -239,13 +227,12 @@ def solve_local(
     indices = spec.global_indices
     d_rows = np.array([[flavor == "D"] for _, flavor in searches])
 
-    def objective(fragments: np.ndarray) -> np.ndarray:
-        scores = ensemble.score(_expand(fragments, indices))
+    def objective(stacks: np.ndarray) -> np.ndarray:
+        scores = ensemble.score(stacks)
         return np.where(d_rows, scores.D, scores.D1)
 
     seeds = _published_seeds(m, indices)
-    results = pso_lockstep(objective, len(searches), m, len(indices), config, seeds)
-    return [_with_design(result, indices) for result in results]
+    return pso_lockstep(objective, len(searches), m, indices, config, seeds)
 
 
 def build_cache(ensemble: ScenarioEnsemble, config: PsoConfig) -> ScenarioEnsemble:
@@ -275,9 +262,8 @@ def solve_compromise(
     alpha = 1 is the Bayesian D search, alpha = 0 the Bayesian D1 search.
 
     Requires the locally-optimal cache (build_cache) for every scenario."""
-    def objective(fragments: np.ndarray) -> np.ndarray:
-        return phi_compromise(ensemble, ensemble.score(fragments), alpha)
+    def objective(stack: np.ndarray) -> np.ndarray:
+        return phi_compromise(ensemble, ensemble.score(stack), alpha)
 
     seeds = _published_seeds(ensemble.m, ALL_FACTORS)
-    result = pso_maximize(objective, ensemble.m, len(ALL_FACTORS), config, seeds)
-    return _with_design(result, ALL_FACTORS)
+    return pso_maximize(objective, ensemble.m, ALL_FACTORS, config, seeds)

@@ -588,9 +588,12 @@ NOT_A_NUMBER = (
         ("gamma", True, NOT_A_NUMBER),
         ("model", "temperature", 'scenario.json: a scenario needs a "model" object'),
         ("beta", 5.0, 'scenario.json: a scenario needs a "beta" list'),
+        ("model", {**data.MODELS["temperature"].to_dict(),
+                   "factors": ["L", "K", "D", "K"]},
+         "scenario.json: factor 'K' is named twice"),
     ],
     ids=["beta-string", "beta-null", "beta-bool", "gamma-string", "gamma-bool",
-         "model-string", "beta-number"],
+         "model-string", "beta-number", "factor-twice"],
 )
 def test_malformed_scenario_is_parse_error(capsys, tmp_path, field, value, named):
     d = {

@@ -151,6 +151,22 @@ class TestEnsemble:
         with pytest.raises(KeyError, match="does not belong to this ensemble"):
             reader(scaled_scenario("temperature", 2.0), data.REFERENCE_DESIGN, ens)
 
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_repeated_scenario_reads_the_optima_set_on_either_row(self, row):
+        # Both rows of a repeated scenario are one entry of the table, so
+        # the optima cached through either row are the ones every reader reads.
+        optima = (data.LOCAL_D_OPTIMAL["velocity"], data.LOCAL_D1_OPTIMAL["velocity"])
+        single = data.single_scenario_ensemble("velocity")
+        single.set_optimal(0, *optima)
+        s = single.scenarios[0]
+        ens = ScenarioEnsemble([s, s], data.initial_design(), 4)
+        ens.set_optimal(row, *optima)
+        for reader in (eff_D, eff_D1, d1_ratio_vs_d_optimum):
+            want = reader(s, data.REFERENCE_DESIGN, single)
+            for t in ens.scenarios:
+                assert reader(t, data.REFERENCE_DESIGN, ens) == pytest.approx(
+                    want, rel=1e-12)
+
 
 # pm10pm20 holds five day-effect values per model, so drawing a model and a
 # variant index covers all twenty scenarios.

@@ -125,6 +125,16 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec("m", Link.LOG, ("Q",), (Term.intercept(),))
 
+    def test_repeated_factor_rejected(self):
+        with pytest.raises(ValueError, match="factor 'L' is named twice"):
+            ModelSpec("m", Link.LOG, ("L", "K", "L"), (Term.intercept(), Term.main(1)))
+
+    def test_repeated_factor_rejected_from_dict(self):
+        d = {"name": "m", "link": "log", "factors": ["L", "L"],
+             "terms": [["intercept"], ["main", "L"]]}
+        with pytest.raises(ValueError, match="factor 'L' is named twice"):
+            ModelSpec.from_dict(d)
+
     @pytest.mark.parametrize("name", data.RESPONSES)
     def test_json_round_trip(self, name):
         spec = data.MODELS[name]

@@ -18,10 +18,11 @@ from augdesign import (
 from augdesign import data, optimizer
 
 SMALL = PsoConfig(swarm_size=20, iterations=60, restarts=2, seed=7)
+ALL = optimizer.ALL_FACTORS
 
 
-def sphere(fragments):
-    return -np.sum((fragments - 1.0) ** 2, axis=(-2, -1))
+def sphere(stack):
+    return -np.sum((stack - 1.0) ** 2, axis=(-2, -1))
 
 
 class TestConfig:
@@ -50,21 +51,21 @@ class TestConfig:
 
 class TestPsoMaximize:
     def test_finds_known_maximum(self):
-        result = pso_maximize(sphere, 1, 4, PsoConfig(
+        result = pso_maximize(sphere, 1, ALL, PsoConfig(
             swarm_size=30, iterations=200, restarts=2, seed=1))
-        assert np.allclose(result.best_fragment, 1.0, atol=1e-3)
+        assert np.allclose(result.best_design.coords, 1.0, atol=1e-3)
         assert result.best_value == pytest.approx(0.0, abs=1e-5)
 
     def test_best_value_is_recomputed(self):
-        result = pso_maximize(sphere, 1, 4, SMALL)
+        result = pso_maximize(sphere, 1, ALL, SMALL)
         assert result.best_value == pytest.approx(
-            sphere(result.best_fragment), abs=1e-12
+            sphere(result.best_design.coords), abs=1e-12
         )
 
     def test_same_seed_is_bitwise_identical(self):
-        a = pso_maximize(sphere, 2, 4, SMALL)
-        b = pso_maximize(sphere, 2, 4, SMALL)
-        assert np.array_equal(a.best_fragment, b.best_fragment)
+        a = pso_maximize(sphere, 2, ALL, SMALL)
+        b = pso_maximize(sphere, 2, ALL, SMALL)
+        assert a.best_design == b.best_design
         assert a.history == b.history
         assert a.evaluations == b.evaluations
 
@@ -72,48 +73,82 @@ class TestPsoMaximize:
         monkeypatch.setenv("ODEX_THREADS", "4")
         callers = set()
 
-        def objective(fragments):
+        def objective(stack):
             callers.add(threading.get_ident())
-            return sphere(fragments)
+            return sphere(stack)
 
-        pso_maximize(objective, 2, 4, SMALL)
+        pso_maximize(objective, 2, ALL, SMALL)
         assert callers == {threading.get_ident()}
 
     def test_history_is_monotone_per_restart(self):
-        result = pso_maximize(sphere, 2, 4, SMALL)
+        result = pso_maximize(sphere, 2, ALL, SMALL)
         for restart in result.history:
             assert all(b >= a for a, b in zip(restart, restart[1:]))
 
     def test_result_stays_in_box(self):
-        result = pso_maximize(lambda f: np.sum(f, axis=(-2, -1)), 3, 4, SMALL)
-        assert np.all(result.best_fragment <= 2.0)
-        assert np.all(result.best_fragment >= -2.0)
-        assert not np.any(np.isnan(result.best_fragment))
+        result = pso_maximize(lambda f: np.sum(f, axis=(-2, -1)), 3, ALL, SMALL)
+        coords = result.best_design.coords
+        assert np.all(coords <= 2.0)
+        assert np.all(coords >= -2.0)
+        assert not np.any(np.isnan(coords))
         # linear objective: the maximum is the all-upper corner
-        assert np.allclose(result.best_fragment, 2.0)
+        assert np.allclose(coords, 2.0)
 
     def test_seed_is_a_lower_bound(self):
         seed = np.full((2, 4), 0.5)
-        result = pso_maximize(sphere, 2, 4, SMALL, seeds=[seed])
+        result = pso_maximize(sphere, 2, ALL, SMALL, seeds=[seed])
         assert result.best_value >= sphere(seed)
 
     def test_scores_each_iteration_in_one_call(self):
         shapes = []
 
-        def objective(fragments):
-            shapes.append(fragments.shape)
-            return sphere(fragments)
+        def objective(stack):
+            shapes.append(stack.shape)
+            return sphere(stack)
 
         # Below the stagnation window every restart runs all its iterations.
-        result = pso_maximize(objective, 2, 3, SMALL)
-        swarm = (SMALL.swarm_size, 2, 3)
+        result = pso_maximize(objective, 2, (0, 1, 2), SMALL)
+        swarm = (SMALL.swarm_size, 2, 4)
         calls = SMALL.restarts * (SMALL.iterations + 1)
-        assert shapes == [swarm] * calls + [(1, 2, 3)]
+        assert shapes == [swarm] * calls + [(1, 2, 4)]
         assert result.evaluations == calls * SMALL.swarm_size
 
     def test_bad_dimensions(self):
         with pytest.raises(ValueError):
-            pso_maximize(sphere, 0, 4, SMALL)
+            pso_maximize(sphere, 0, ALL, SMALL)
+        for indices in ((), (1, 1)):
+            with pytest.raises(ValueError, match="indices distinct factors"):
+                pso_maximize(sphere, 2, indices, SMALL)
+
+    def test_unsearched_factors_stay_at_zero(self):
+        stacks = []
+
+        def objective(stack):
+            stacks.append(stack)
+            return sphere(stack)
+
+        result = pso_maximize(objective, 3, (1, 3), SMALL)
+        assert all(np.all(s[..., [0, 2]] == 0.0) for s in stacks)
+        assert not np.all(stacks[-2][..., [1, 3]] == 0.0)
+        design = result.best_design
+        assert np.all(design.coords[:, [0, 2]] == 0.0)
+        assert np.all(design.days == 1)
+        assert result.best_value == objective(design.coords[None])[0]
+
+    def test_seed_acts_as_its_projection_onto_the_searched_factors(self):
+        seed = np.array([[1.5, -0.5, 2.0, 0.25], [-1.0, 0.75, -2.0, -1.25]])
+        projection = seed * [0.0, 1.0, 0.0, 1.0]
+        first = []
+
+        def objective(stack):
+            if not first:
+                first.append(stack[0].copy())
+            return sphere(stack)
+
+        seeded = pso_maximize(objective, 2, (1, 3), SMALL, seeds=[seed])
+        assert np.array_equal(first[0], projection)
+        projected = pso_maximize(sphere, 2, (1, 3), SMALL, seeds=[projection])
+        assert seeded == projected
 
 
 class TestSolveLocal:
@@ -222,7 +257,6 @@ class TestLockstep:
         for search, got in zip(searches, together):
             (alone,) = solve_local([search], ens.initial_design, ens.m, self.STALLING)
             assert got.best_design == alone.best_design
-            assert np.array_equal(got.best_fragment, alone.best_fragment)
             assert got.best_value == alone.best_value
             assert got.evaluations == alone.evaluations
             assert got.history == alone.history
@@ -233,9 +267,9 @@ class TestLockstep:
 
     def test_one_search_is_pso_maximize(self):
         # sphere sums over the last two axes, so it scores (1, k, 2, 4) too.
-        (together,) = optimizer.pso_lockstep(sphere, 1, 2, 4, SMALL)
-        alone = pso_maximize(sphere, 2, 4, SMALL)
-        assert np.array_equal(together.best_fragment, alone.best_fragment)
+        (together,) = optimizer.pso_lockstep(sphere, 1, 2, ALL, SMALL)
+        alone = pso_maximize(sphere, 2, ALL, SMALL)
+        assert together.best_design == alone.best_design
         assert (together.best_value, together.history, together.evaluations) == (
             alone.best_value, alone.history, alone.evaluations)
 
