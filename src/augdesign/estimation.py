@@ -1,12 +1,6 @@
-"""Gamma GLM fitting: Fisher scoring for the coefficients, profile maximum
+"""Gamma GLM fitting: Fisher scoring for the coefficients, maximum
 likelihood for the shape parameter, standard errors, BIC, and prediction
-summaries.
-
-scipy is imported only inside ``fit`` and ``gamma_log_likelihood``, on their
-first call.  ``import augdesign`` and the ``design``, ``efficiency`` and
-``predict`` commands need numpy alone, so their cold start does not pay for
-scipy's import.
-"""
+summaries."""
 
 from __future__ import annotations
 
@@ -25,6 +19,8 @@ from .information import (
 
 MAX_SCORING_ITERATIONS = 100
 MAX_STEP_HALVINGS = 30
+MAX_SHAPE_ITERATIONS = 50
+SHAPE_RANGE = (math.exp(-5.0), math.exp(14.0))
 
 METRICS = ("mse", "rmse", "mae")
 
@@ -101,6 +97,12 @@ def _is_real(value) -> bool:
     return is_number(value) and math.isfinite(value)
 
 
+def _are_reals(values, length: int) -> bool:
+    """A JSON list of ``length`` finite real numbers."""
+    return (isinstance(values, list) and len(values) == length
+            and all(_is_real(v) for v in values))
+
+
 @dataclass(frozen=True)
 class FittedModel:
     """A fitted Gamma GLM plus its uncertainty summaries.
@@ -142,10 +144,13 @@ class FittedModel:
 
     @staticmethod
     def from_dict(d: dict) -> "FittedModel":
-        """The fit of ``to_dict``.  A missing key, a ``beta_hat`` that is not
-        one finite real number per model term, a ``gamma_hat`` that is neither
-        a finite real number nor null, or a ``nu_hat`` that is not a finite
-        real number is a ValueError."""
+        """The fit of ``to_dict``.  A ValueError when a key is missing, when
+        ``beta_hat`` is not one finite real number per model term, when
+        ``gamma_hat`` is neither a finite real number nor null, when
+        ``std_errors`` is not k finite real numbers or ``covariance`` not a
+        k by k array of them (k coefficients: the terms, plus one with a day
+        effect), when ``nu_hat``, ``log_likelihood`` or ``bic`` is not a
+        finite real number, or when ``n`` is not a positive integer."""
         if not isinstance(d, dict):
             raise ValueError("a fitted model must be a JSON object")
         missing = [key for key in FITTED_MODEL_KEYS if key not in d]
@@ -153,23 +158,35 @@ class FittedModel:
             raise ValueError(f"a fitted model needs the keys {missing}")
         spec = ModelSpec.from_dict(d["model"])
         beta_hat = d["beta_hat"]
-        if (not isinstance(beta_hat, list) or len(beta_hat) != spec.p
-                or not all(_is_real(b) for b in beta_hat)):
+        if not _are_reals(beta_hat, spec.p):
             raise ValueError(
                 f'"beta_hat" must hold {spec.p} finite real numbers, one per term '
                 f"of model {spec.name!r}"
             )
         if d["gamma_hat"] is not None and not _is_real(d["gamma_hat"]):
             raise ValueError('"gamma_hat" must be a finite real number or null')
-        if not _is_real(d["nu_hat"]):
-            raise ValueError('"nu_hat" must be a finite real number')
+        k = spec.p + (0 if d["gamma_hat"] is None else 1)
+        if not _are_reals(d["std_errors"], k):
+            raise ValueError(f'"std_errors" must hold {k} finite real numbers')
+        covariance = d["covariance"]
+        if not (isinstance(covariance, list) and len(covariance) == k
+                and all(_are_reals(row, k) for row in covariance)):
+            raise ValueError(
+                f'"covariance" must be a {k} by {k} array of finite real numbers'
+            )
+        for key in ("nu_hat", "log_likelihood", "bic"):
+            if not _is_real(d[key]):
+                raise ValueError(f'"{key}" must be a finite real number')
+        n = d["n"]
+        if not (isinstance(n, int) and not isinstance(n, bool) and n > 0):
+            raise ValueError('"n" must be a positive integer')
         return FittedModel(
             spec=spec,
             beta_hat=tuple(beta_hat),
             gamma_hat=d["gamma_hat"],
             nu_hat=d["nu_hat"],
             std_errors=tuple(d["std_errors"]),
-            covariance=np.array(d["covariance"]),
+            covariance=np.array(covariance, dtype=float),
             log_likelihood=d["log_likelihood"],
             bic=d["bic"],
             n=d["n"],
@@ -181,12 +198,10 @@ class FittedModel:
 
 
 def gamma_log_likelihood(y: np.ndarray, mu: np.ndarray, nu: float) -> float:
-    from scipy.special import gammaln
-
     return float(
         np.sum(
             nu * math.log(nu)
-            - gammaln(nu)
+            - math.lgamma(nu)
             + (nu - 1.0) * np.log(y)
             - nu * np.log(mu)
             - nu * y / mu
@@ -214,12 +229,51 @@ def _starting_point(link: Link, Z: np.ndarray, y: np.ndarray) -> np.ndarray:
     return beta
 
 
-def _information_factor(info: np.ndarray) -> np.ndarray:
-    """Cholesky factor of the information, by the criteria's singularity rule."""
+def _solve_information(info: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """info^{-1} b by two solves, with the information's Cholesky factor and
+    its transpose; the factor must pass the criteria's singularity rule."""
     (chol,), (ok,) = cholesky(info[None])
     if not ok:
         raise RankDeficientError("expected information is singular")
-    return chol
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
+
+
+def _shape_score(nu: float) -> tuple[float, float]:
+    """log nu - digamma(nu) and its derivative.  The recurrence
+    digamma(x) = digamma(x + 1) - 1/x lifts the argument to x >= 16, where
+    the asymptotic series log x - digamma(x) ~ 1/(2x) + sum B_2k / (2k x^2k)
+    is summed to x^-10.  No digamma is subtracted from a log, so the value
+    keeps its relative precision at large nu, where it is near 1/(2 nu)."""
+    x, value, slope = nu, 0.0, 0.0
+    while x < 16.0:
+        value, slope, x = value + 1.0 / x, slope - 1.0 / (x * x), x + 1.0
+    u = 1.0 / (x * x)
+    value += math.log(nu / x) + 0.5 / x + u * (
+        1 / 12 - u * (1 / 120 - u * (1 / 252 - u * (1 / 240 - u / 132))))
+    slope += 1.0 / nu - 1.0 / x - u * (0.5 + (
+        1 / 6 - u * (1 / 30 - u * (1 / 42 - u * (1 / 30 - u * 5 / 66)))) / x)
+    return value, slope
+
+
+def _solve_shape(s: float) -> float:
+    """The shape nu solving log nu - digamma(nu) = s, the mean of r - 1 - log r
+    over r = y / mu (McCullagh & Nelder 1989, 8.3), clamped to SHAPE_RANGE:
+    the left side falls in nu.  Newton's method in log nu from Minka's (2002)
+    start stops at a step below 1e-9, past which quadratic convergence leaves
+    only rounding error, so ulp-level cycling cannot stall it."""
+    lo, hi = SHAPE_RANGE
+    if s >= _shape_score(lo)[0]:
+        return lo
+    if s <= _shape_score(hi)[0]:
+        return hi
+    t = math.log((3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s))
+    for _ in range(MAX_SHAPE_ITERATIONS):
+        value, slope = _shape_score(math.exp(t))
+        step = (value - s) / (math.exp(t) * slope)
+        t = min(max(t - step, math.log(lo)), math.log(hi))
+        if abs(step) < 1e-9:
+            return math.exp(t)
+    raise DivergenceError(f"the shape equation did not converge for s = {s}")
 
 
 def fit(
@@ -231,14 +285,11 @@ def fit(
     """Maximum-likelihood fit of a Gamma GLM to one response of a dataset.
 
     Coefficients come from Fisher scoring, halving a step while it leaves
-    the link domain or lowers the likelihood; the shape parameter from a
-    one-dimensional profile-likelihood search given the fitted means;
+    the link domain or lowers the likelihood; the shape parameter from its
+    score equation given the fitted means (``_solve_shape``);
     standard errors from the inverse expected information at the estimates.
     BIC counts the shape parameter.
     """
-    from scipy.linalg import cho_solve
-    from scipy.optimize import minimize_scalar
-
     if response not in data.responses:
         raise KeyError(f"dataset has no response {response!r}")
     y = data.responses[response]
@@ -257,7 +308,7 @@ def fit(
     current = gamma_log_likelihood(y, spec.link.mean(Z @ beta), 1.0)
     for _ in range(MAX_SCORING_ITERATIONS):
         score, info = _score_and_info(spec.link, Z, beta, y)
-        step = cho_solve((_information_factor(info), True), score)
+        step = _solve_information(info, score)
         scale = 1.0
         for _ in range(MAX_STEP_HALVINGS):
             trial = beta + scale * step
@@ -281,17 +332,12 @@ def fit(
         )
 
     mu = spec.link.mean(Z @ beta)
-    result = minimize_scalar(
-        lambda t: -gamma_log_likelihood(y, mu, math.exp(t)),
-        bounds=(-5.0, 14.0),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    nu = math.exp(result.x)
+    r = y / mu
+    nu = _solve_shape(float(np.mean(r - 1.0 - np.log(r))))
     ll = gamma_log_likelihood(y, mu, nu)
 
     _, info = _score_and_info(spec.link, Z, beta, y)
-    covariance = cho_solve((_information_factor(info), True), np.eye(k)) / nu
+    covariance = _solve_information(info, np.eye(k)) / nu
     std_errors = tuple(float(v) for v in np.sqrt(np.diag(covariance)))
     bic = -2.0 * ll + (k + 1) * math.log(n)
 

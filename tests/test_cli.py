@@ -699,10 +699,42 @@ class TestPredictCommand:
              '"gamma_hat" must be a finite real number or null'),
             (lambda d: {**d, "nu_hat": None}, '"nu_hat" must be a finite real number'),
             (lambda d: {**d, "nu_hat": True}, '"nu_hat" must be a finite real number'),
+            (lambda d: {**d, "std_errors": None},
+             '"std_errors" must hold 6 finite real numbers'),
+            (lambda d: {**d, "std_errors": 5},
+             '"std_errors" must hold 6 finite real numbers'),
+            (lambda d: {**d, "std_errors": d["std_errors"][:-1]},
+             '"std_errors" must hold 6 finite real numbers'),
+            (lambda d: {**d, "std_errors": [None, *d["std_errors"][1:]]},
+             '"std_errors" must hold 6 finite real numbers'),
+            (lambda d: {**d, "gamma_hat": None},
+             '"std_errors" must hold 5 finite real numbers'),
+            (lambda d: {**d, "covariance": None},
+             '"covariance" must be a 6 by 6 array of finite real numbers'),
+            (lambda d: {**d, "covariance": d["covariance"][:-1]},
+             '"covariance" must be a 6 by 6 array of finite real numbers'),
+            (lambda d: {**d, "covariance": [row[:-1] for row in d["covariance"]]},
+             '"covariance" must be a 6 by 6 array of finite real numbers'),
+            (lambda d: {**d, "covariance": [[float("inf"), *d["covariance"][0][1:]],
+                                            *d["covariance"][1:]]},
+             '"covariance" must be a 6 by 6 array of finite real numbers'),
+            (lambda d: {**d, "log_likelihood": None},
+             '"log_likelihood" must be a finite real number'),
+            (lambda d: {**d, "log_likelihood": False},
+             '"log_likelihood" must be a finite real number'),
+            (lambda d: {**d, "bic": "516.9"}, '"bic" must be a finite real number'),
+            (lambda d: {**d, "bic": float("nan")}, '"bic" must be a finite real number'),
+            (lambda d: {**d, "n": 0}, '"n" must be a positive integer'),
+            (lambda d: {**d, "n": 34.0}, '"n" must be a positive integer'),
+            (lambda d: {**d, "n": True}, '"n" must be a positive integer'),
+            (lambda d: {**d, "n": None}, '"n" must be a positive integer'),
         ],
         ids=["not-an-object", "model-missing", "beta-string", "beta-short",
              "beta-nan", "beta-bool", "gamma-string", "gamma-bool", "nu-null",
-             "nu-bool"],
+             "nu-bool", "se-null", "se-number", "se-short", "se-null-entry",
+             "se-without-gamma", "cov-null", "cov-short", "cov-narrow", "cov-inf", "loglik-null",
+             "loglik-bool", "bic-string", "bic-nan", "n-zero", "n-float",
+             "n-bool", "n-null"],
     )
     def test_malformed_model_file_is_parse_error(
         self, capsys, fitted, tmp_path, change, named

@@ -3,6 +3,7 @@ import json
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,9 @@ from augdesign import (
     prediction_error,
 )
 from augdesign import data
-from augdesign.estimation import _starting_point, gamma_log_likelihood
+from augdesign.estimation import (
+    SHAPE_RANGE, _shape_score, _solve_shape, _starting_point, gamma_log_likelihood,
+)
 from augdesign.glm import regressor_matrix
 from scalar_oracle import cholesky
 
@@ -175,6 +178,9 @@ class TestFitProperties:
         synthetic = Dataset(ccd.coords, ccd.days, {name: mu})
         again = fit(data.MODELS[name], synthetic, name)
         assert np.allclose(again.beta_hat, model.beta_hat, rtol=1e-8, atol=1e-10)
+        # No residuals: the shape equation has no root, and nu takes the
+        # upper end of its range.
+        assert again.nu_hat == SHAPE_RANGE[1]
 
     @given(st.floats(0.1, 10.0))
     @settings(max_examples=20, deadline=None)
@@ -223,10 +229,12 @@ class TestFitProperties:
             "beta_hat": (0.0005167241463543978, -8.042396379527913e-05,
                          0.0002484446611775978, 5.513976874043851e-05,
                          8.674787210255371e-05),
-            "nu_hat": 3.0393634038022657,
-            "std_errors": (6.92914475104634e-05, 5.355192991546087e-05,
-                           8.042016787408703e-05, 5.2873940993655765e-05,
-                           6.559487994667475e-05),
+            # The 40-digit mpmath root of the shape equation, and standard
+            # errors scaled to it by 1/sqrt(nu).
+            "nu_hat": 3.0393635710724984,
+            "std_errors": (6.929144560374898e-05, 5.355192844185567e-05,
+                           8.042016566114014e-05, 5.2873939538707e-05,
+                           6.559487814167993e-05),
             "log_likelihood": -248.2681781209815,
             "bic": 516.9435405319359,
         }
@@ -260,6 +268,40 @@ class TestFitProperties:
     def test_unknown_response_rejected(self):
         with pytest.raises(KeyError):
             fit(data.MODELS["temperature"], data.ccd_dataset(), "pressure")
+
+
+def mp_shape_score(nu):
+    return mpmath.log(nu) - mpmath.digamma(nu)
+
+
+class TestShapeSolver:
+    """log nu - digamma(nu) = s against a 40-digit mpmath root."""
+
+    @given(st.floats(-5.0, 14.0))
+    @settings(max_examples=200, deadline=None)
+    def test_newton_root_matches_mpmath(self, log_nu):
+        with mpmath.workdps(40):
+            s = float(mp_shape_score(mpmath.exp(log_nu)))
+            root = mpmath.findroot(lambda v: mp_shape_score(v) - s,
+                                   mpmath.exp(log_nu))
+        # Rounding s to a double can move the root past an end of the range.
+        expect = min(max(float(root), SHAPE_RANGE[0]), SHAPE_RANGE[1])
+        assert _solve_shape(s) == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [0.0, -1e-300, -1e-12, 1e-8])
+    def test_small_mean_deviance_returns_the_upper_end(self, s):
+        assert _solve_shape(s) == SHAPE_RANGE[1]
+
+    def test_upper_end_is_where_the_score_meets_it(self):
+        at_hi = _shape_score(SHAPE_RANGE[1])[0]
+        assert _solve_shape(at_hi) == SHAPE_RANGE[1]
+        assert _solve_shape(2.0 * at_hi) < SHAPE_RANGE[1]
+
+    @pytest.mark.parametrize("factor", [1.0, 2.0, 1e6])
+    def test_large_mean_deviance_returns_the_lower_end(self, factor):
+        at_lo = _shape_score(SHAPE_RANGE[0])[0]
+        assert _solve_shape(factor * at_lo) == SHAPE_RANGE[0]
+        assert _solve_shape(0.5 * at_lo) > SHAPE_RANGE[0]
 
 
 class TestSingularityRule:
