@@ -3,7 +3,8 @@ and the solvers for local, Bayesian, and compromise criteria."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,6 +36,10 @@ class PsoConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{field.name} must be an integer, got {value!r}")
         if self.swarm_size < 2:
             raise ValueError("swarm_size must be at least 2")
         if self.iterations < 1 or self.restarts < 1:
@@ -64,20 +69,21 @@ def pso_lockstep(
     seeds: Sequence[np.ndarray] = (),
 ) -> list[SearchResult]:
     """``searches`` independent global-best PSO searches over m-run designs,
-    advanced together.  Each particle ranges over [-2, 2] in the factors
-    ``indices``; the other factors of its designs are 0.
+    advanced together with their restarts.  Each particle ranges over
+    [-2, 2] in the factors ``indices``; the other factors of its designs are 0.
 
     ``objective`` maps a (G, k, m, 4) stack of designs, search j's k in row
-    j, to (G, k) values, and must give 0 (or -inf) for infeasible designs.
-    It is called on the calling thread, once per iteration with every swarm,
-    and once with a (G, 1, m, 4) stack to recompute each best design's
-    value.  ``seeds`` are (m, 4) designs placed, over the factors
-    ``indices``, as initial particles in every restart.  All searches share
-    one config, so one set of random draws per restart serves them all, and
-    each search follows the path it would take alone.  A search that
-    stagnates stops there: its best point, history and evaluation count
-    keep the values of that iteration while the others go on.  Returns one
-    result per search.
+    j, to (G, k) values that do not depend on the rest of the stack, and must
+    give 0 (or -inf) for infeasible designs.  It is called on the calling
+    thread, once per iteration with the swarms of the running restarts laid
+    restart-major along k, and once with a (G, 1, m, 4) stack to recompute
+    each best design's value.  ``seeds`` are (m, 4) designs placed, over the
+    factors ``indices``, as initial particles in every restart.  Each
+    restart's generator serves all searches, so each follows the path it
+    would take alone.  A search that stagnates stops there: its best point,
+    history and evaluation count keep the values of that iteration while the
+    others go on.  A restart leaves the stack once all its searches stopped.
+    Returns one result per search.
     """
     columns = list(indices)
     if m < 1 or not columns or len(set(columns)) != len(columns):
@@ -92,74 +98,88 @@ def pso_lockstep(
         return full
 
     span = COORD_MAX - COORD_MIN
-    each = np.arange(searches)
-    best_flat = np.zeros((searches, d))
-    best_value = np.full(searches, -np.inf)
-    histories: list[list[tuple[float, ...]]] = [[] for _ in each]
-    evaluations = np.zeros(searches, dtype=int)
-    for child in np.random.SeedSequence(config.seed).spawn(config.restarts):
-        rng = np.random.default_rng(child)
-        x = rng.uniform(COORD_MIN, COORD_MAX, size=(config.swarm_size, d))
-        v = rng.uniform(-span, span, size=(config.swarm_size, d)) * 0.25
-        for i, s in enumerate(flat_seeds):
-            x[i] = s
-            v[i] = 0.0
-        x = np.repeat(x[None], searches, axis=0)
+    swarm, restarts = config.swarm_size, config.restarts
+    rngs = [np.random.default_rng(child)
+            for child in np.random.SeedSequence(config.seed).spawn(restarts)]
+    x = np.array([rng.uniform(COORD_MIN, COORD_MAX, size=(swarm, d)) for rng in rngs])
+    v = np.array([rng.uniform(-span, span, size=(swarm, d)) for rng in rngs]) * 0.25
+    for i, s in enumerate(flat_seeds):
+        x[:, i] = s
+        v[:, i] = 0.0
+    # Row j * restarts + r holds restart r of search j, so a reshape lays
+    # each search's particles restart-major along its row of the stack.
+    grid = (searches, restarts, swarm, d)
+    x = np.repeat(x[None], searches, axis=0).reshape(-1, swarm, d)
 
-        pval = objective(designs(x)).copy()
-        pbest = x.copy()
+    def score(x: np.ndarray, running: list[bool]) -> np.ndarray:
+        """(rows, swarm) values of x; a stopped restart is not scored."""
+        if all(running):
+            return objective(designs(x.reshape(searches, -1, d))).reshape(-1, swarm)
+        values = np.full(grid[:3], -np.inf)
+        stack = x.reshape(grid)[:, running].reshape(searches, -1, d)
+        values[:, running] = objective(designs(stack)).reshape(searches, -1, swarm)
+        return values.reshape(-1, swarm)
+
+    each = np.arange(searches * restarts)
+    running = [True] * restarts
+    pval = score(x, running).copy()
+    pbest = x.copy()
+    g = np.argmax(pval, axis=1)
+    gbest, gval = pbest[each, g], pval[each, g]
+    trace = [gval.copy()]
+    # Iterations each search has run in each restart; a search is active
+    # until its best has risen by no more than TOLERANCE for
+    # STAGNATION_WINDOW iterations.
+    steps = np.zeros(len(each), dtype=int)
+    since_improvement = np.zeros(len(each), dtype=int)
+    active = np.ones(len(each), dtype=bool)
+    for _ in range(config.iterations):
+        r1, r2 = np.empty((2, restarts, swarm, d))
+        for rng, a, b in zip(rngs, r1, r2):
+            rng.random(out=a)
+            rng.random(out=b)
+        v = (
+            INERTIA * v
+            + COGNITIVE * r1 * (pbest - x).reshape(grid)
+            + SOCIAL * r2 * (gbest[:, None] - x).reshape(grid)
+        )
+        x = x + v.reshape(x.shape)
+        clamped = (x < COORD_MIN) | (x > COORD_MAX)
+        np.clip(x, COORD_MIN, COORD_MAX, out=x)
+        v.reshape(x.shape)[clamped] = 0.0
+
+        values = score(x, running)
+        # A stopped search keeps its personal bests, so its global best
+        # cannot rise either.
+        improved = (values > pval) & active[:, None]
+        pbest[improved] = x[improved]
+        pval[improved] = values[improved]
         g = np.argmax(pval, axis=1)
-        gbest, gval = pbest[each, g], pval[each, g]
-        trace = [gval.copy()]
-        # Iterations each search has run in this restart; a search is active
-        # until its best has risen by no more than TOLERANCE for
-        # STAGNATION_WINDOW iterations.
-        steps = np.zeros(searches, dtype=int)
-        since_improvement = np.zeros(searches, dtype=int)
-        active = np.ones(searches, dtype=bool)
-        for _ in range(config.iterations):
-            r1 = rng.uniform(size=(config.swarm_size, d))
-            r2 = rng.uniform(size=(config.swarm_size, d))
-            v = (
-                INERTIA * v
-                + COGNITIVE * r1 * (pbest - x)
-                + SOCIAL * r2 * (gbest[:, None] - x)
-            )
-            x = x + v
-            clamped = (x < COORD_MIN) | (x > COORD_MAX)
-            np.clip(x, COORD_MIN, COORD_MAX, out=x)
-            v[clamped] = 0.0
-
-            values = objective(designs(x))
-            # A stopped search keeps its personal bests, so its global best
-            # cannot rise either.
-            improved = (values > pval) & active[:, None]
-            pbest[improved] = x[improved]
-            pval[improved] = values[improved]
-            g = np.argmax(pval, axis=1)
-            top = pval[each, g]
-            since_improvement = np.where(top > gval + TOLERANCE, 0,
-                                         since_improvement + 1)
-            rose = top > gval
-            gbest[rose], gval[rose] = pbest[each[rose], g[rose]], top[rose]
-            trace.append(gval.copy())
-            steps += active
-            active &= since_improvement < STAGNATION_WINDOW
-            if not active.any():
-                break
-        trace = np.array(trace)
-        for j in each:
-            histories[j].append(tuple(trace[: steps[j] + 1, j].tolist()))
-        evaluations += (steps + 1) * config.swarm_size
-        better = gval > best_value
-        best_value[better], best_flat[better] = gval[better], gbest[better]
-
+        top = pval[each, g]
+        since_improvement = np.where(top > gval + TOLERANCE, 0,
+                                     since_improvement + 1)
+        rose = top > gval
+        gbest[rose], gval[rose] = pbest[each[rose], g[rose]], top[rose]
+        trace.append(gval.copy())
+        steps += active
+        active &= since_improvement < STAGNATION_WINDOW
+        running = active.reshape(searches, restarts).any(axis=0).tolist()
+        if not any(running):
+            break
+    trace = np.array(trace)
+    best_value, best_flat = np.full(searches, -np.inf), np.zeros((searches, d))
+    rows = each.reshape(searches, restarts)
+    for r in range(restarts):
+        better = gval[rows[:, r]] > best_value
+        won = rows[better, r]
+        best_value[better], best_flat[better] = gval[won], gbest[won]
     best = designs(best_flat[:, None])
     recomputed = objective(best)[:, 0]
     return [
         SearchResult(Design.from_coords(best[j, 0], day=1), float(recomputed[j]),
-                     tuple(histories[j]), int(evaluations[j]))
-        for j in each
+                     tuple(tuple(trace[: steps[p] + 1, p].tolist()) for p in rows[j]),
+                     int(swarm * (steps[rows[j]] + 1).sum()))
+        for j in range(searches)
     ]
 
 
@@ -175,8 +195,8 @@ def pso_maximize(
 
     ``objective`` maps a (k, m, 4) stack of designs to k real values and
     must give 0 (or -inf) for infeasible designs.  It is called once per
-    iteration with the whole swarm, and once with a stack of one to
-    recompute the best design's value.
+    iteration with the swarms of the running restarts, and once with a
+    stack of one to recompute the best design's value.
     """
     (result,) = pso_lockstep(
         lambda stack: objective(stack[0])[None], 1, m, indices, config, seeds

@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from augdesign import (
     MissingCacheError,
@@ -16,6 +17,7 @@ from augdesign import (
     solve_local,
 )
 from augdesign import data, optimizer
+from sequential_oracle import pso_sequential
 
 SMALL = PsoConfig(swarm_size=20, iterations=60, restarts=2, seed=7)
 ALL = optimizer.ALL_FACTORS
@@ -23,6 +25,24 @@ ALL = optimizer.ALL_FACTORS
 
 def sphere(stack):
     return -np.sum((stack - 1.0) ** 2, axis=(-2, -1))
+
+
+def plateaus(stack):
+    """Search j's values in a (G, k, m, 4) stack: minus the squared distance
+    to a centre of its own, floored to a step of its own (none for the
+    third), so that searches and restarts stagnate at different
+    iterations."""
+    searches = stack.shape[0]
+    centres = np.array([0.5, -1.0, 1.5])[:searches, None, None, None]
+    steps = np.array([0.25, 1e-3, 0.0])[:searches, None]
+    dist = np.sum((stack - centres) ** 2, axis=(-2, -1))
+    floored = np.floor(dist / np.where(steps > 0, steps, 1.0)) * steps
+    return -np.where(steps > 0, floored, dist)
+
+
+# Three restarts that all stagnate, each at another iteration.
+UNEVEN = dict(seed=1, swarm=4, iterations=250, restarts=3, m=2, indices=(1, 3),
+              searches=3, seeded=False)
 
 
 class TestConfig:
@@ -38,11 +58,22 @@ class TestConfig:
             {"iterations": 0},
             {"seed": -1},
             {"restarts": 0},
+            {"restarts": True},
+            {"seed": False},
+            {"iterations": 2.5},
+            {"swarm_size": 3.0},
+            {"restarts": 2.0},
+            {"seed": 1.5},
+            {"iterations": "10"},
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=field):
             PsoConfig(**kwargs)
+
+    def test_numpy_integers_are_integers(self):
+        assert PsoConfig(swarm_size=np.int64(4), seed=np.uint8(3)).seed == 3
 
     def test_dict_round_trip(self):
         cfg = PsoConfig(swarm_size=33, seed=5)
@@ -106,12 +137,13 @@ class TestPsoMaximize:
             shapes.append(stack.shape)
             return sphere(stack)
 
-        # Below the stagnation window every restart runs all its iterations.
+        # Below the stagnation window every restart runs all its iterations,
+        # and each call scores the swarms of both, restart-major.
         result = pso_maximize(objective, 2, (0, 1, 2), SMALL)
-        swarm = (SMALL.swarm_size, 2, 4)
-        calls = SMALL.restarts * (SMALL.iterations + 1)
-        assert shapes == [swarm] * calls + [(1, 2, 4)]
-        assert result.evaluations == calls * SMALL.swarm_size
+        swarms = (SMALL.restarts * SMALL.swarm_size, 2, 4)
+        assert shapes == [swarms] * (SMALL.iterations + 1) + [(1, 2, 4)]
+        assert result.evaluations == (
+            SMALL.restarts * (SMALL.iterations + 1) * SMALL.swarm_size)
 
     def test_bad_dimensions(self):
         with pytest.raises(ValueError):
@@ -264,6 +296,68 @@ class TestLockstep:
             # iteration the search ran.
             swarm = self.STALLING.swarm_size
             assert got.evaluations == swarm * sum(map(len, got.history))
+
+    def test_scores_the_running_restarts_only(self, monkeypatch):
+        shapes = []
+        lockstep = optimizer.pso_lockstep
+
+        def spy(objective, *args):
+            def counted(stack):
+                shapes.append(stack.shape)
+                return objective(stack)
+            return lockstep(counted, *args)
+
+        monkeypatch.setattr(optimizer, "pso_lockstep", spy)
+        ens = data.model_ensemble("pm10pm20")
+        searches = [(s, flavor) for s in ens.scenarios
+                    if s.spec.name == "temperature" for flavor in ("D", "D1")]
+        results = solve_local(searches, ens.initial_design, ens.m, self.STALLING)
+        # A restart runs, and is scored, until the last of its searches stops.
+        longest = [max(len(r.history[k]) for r in results)
+                   for k in range(self.STALLING.restarts)]
+        assert len(set(longest)) > 1
+        swarm, g = self.STALLING.swarm_size, len(searches)
+        running = [sum(n > t for n in longest) for t in range(max(longest))]
+        assert shapes == ([(g, swarm * n, ens.m, 4) for n in running]
+                          + [(g, 1, ens.m, 4)])
+        assert sum(a * k for a, k, *_ in shapes) == sum(longest) * swarm * g + g
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        swarm=st.integers(2, 8),
+        iterations=st.integers(1, 250),
+        restarts=st.integers(1, 4),
+        m=st.integers(1, 3),
+        indices=st.lists(st.integers(0, 3), min_size=1, max_size=4,
+                         unique=True).map(tuple),
+        searches=st.integers(1, 3),
+        seeded=st.booleans(),
+    )
+    @example(**UNEVEN)
+    def test_equals_the_sequential_loop(self, seed, swarm, iterations, restarts,
+                                        m, indices, searches, seeded):
+        config = PsoConfig(swarm_size=swarm, iterations=iterations,
+                           restarts=restarts, seed=seed)
+        seeds = [np.full((m, 4), 0.5)] if seeded else []
+        together = optimizer.pso_lockstep(plateaus, searches, m, indices, config,
+                                          seeds)
+        one_by_one = pso_sequential(plateaus, searches, m, indices, config, seeds)
+        for got, want in zip(together, one_by_one, strict=True):
+            assert got.best_design == want.best_design
+            assert got.best_value == want.best_value
+            assert got.history == want.history
+            assert got.evaluations == want.evaluations
+
+    def test_uneven_restarts_stop_apart(self):
+        config = PsoConfig(swarm_size=UNEVEN["swarm"], iterations=UNEVEN["iterations"],
+                           restarts=UNEVEN["restarts"], seed=UNEVEN["seed"])
+        results = optimizer.pso_lockstep(plateaus, UNEVEN["searches"], UNEVEN["m"],
+                                         UNEVEN["indices"], config)
+        longest = [max(len(r.history[k]) for r in results)
+                   for k in range(config.restarts)]
+        assert len(set(longest)) == config.restarts
+        assert max(longest) <= config.iterations
 
     def test_one_search_is_pso_maximize(self):
         # sphere sums over the last two axes, so it scores (1, k, 2, 4) too.
