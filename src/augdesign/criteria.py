@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,8 +24,7 @@ class StackScores(NamedTuple):
     """The D criterion |I|^(1/(p+1)) and the D1 criterion 1 / (I^{-1})_nn of
     k designs under each of an ensemble's S scenarios, as two (S, k) arrays
     in scenario order (``ScenarioEnsemble.score``), or of one design as two
-    (S,) arrays (``ScenarioEnsemble.score_design``).  Row j of an aligned
-    score holds scenario j's own k designs.  I is the information
+    (S,) arrays (``ScenarioEnsemble.score_design``).  I is the information
     with the day-effect column last; a singular or infeasible design scores 0.
 
     The criteria take it in place of the (k, m, 4) stack it scores and read
@@ -155,28 +154,16 @@ class ScenarioEnsemble:
                     (id(spec), q), _Entry(i, self._models[-1], column))
 
     def score(self, stack: np.ndarray) -> StackScores:
-        """The D and D1 criteria of k designs of new day-1 runs under every
-        scenario, scored model by model (``_score_model``).
-
-        A (k, m, 4) stack is scored under every scenario.  An aligned
-        (S, k, m, 4) stack is scored row by row: row j under scenario j
-        only, as one search per scenario needs.  Either way the result is
-        two (S, k) arrays, and an aligned row equals, bit for bit, that
-        scenario's row of the (k, m, 4) score of the same k designs.
-        """
-        aligned = stack.ndim == 4 and len(stack) == len(self.scenarios)
-        if stack.ndim != 3 + aligned or stack.shape[-1] != 4:
-            raise ValueError(
-                "a stack of designs must have shape (k, m, 4) or "
-                f"({len(self.scenarios)}, k, m, 4), got shape {stack.shape}"
-            )
-        values = np.empty((2, len(self.scenarios), stack.shape[-3]))
-        ok = np.empty(values.shape[1:], dtype=bool)
+        """The D and D1 criteria of a (k, m, 4) stack of designs of new
+        day-1 runs under every scenario, scored model by model
+        (``_score_model``), as two (S, k) arrays."""
+        if stack.ndim != 3 or stack.shape[-1] != 4:
+            raise ValueError("a stack of designs must have shape (k, m, 4), "
+                             f"got shape {stack.shape}")
+        values = np.empty((2, len(self.scenarios), len(stack)))
         for rows, spec, params, base, _ in self._models:
-            (values[0, rows], values[1, rows]), ok[rows] = _score_model(
-                spec, params, base, stack[rows] if aligned else stack[None]
-            )
-        return StackScores(*np.where(ok, values, 0.0))
+            values[:, rows] = _score_model(spec, params, base, stack[None])
+        return StackScores(*values)
 
     def score_design(self, design: Design) -> StackScores:
         """The D and D1 criteria of one Design of new day-1 runs under every
@@ -205,24 +192,23 @@ class ScenarioEnsemble:
         entry = self._table[idx]
         _, spec, params, base, _ = entry.model
         stack = np.stack([_new_coords(d_opt), _new_coords(d1_opt)])
-        values, ok = _score_model(spec, params, base, stack[None])
-        (vd, _), (vd1_at_d, vd1) = np.where(ok, values, 0.0)[:, entry.column]
+        (vd, _), (vd1_at_d, vd1) = _score_model(spec, params, base,
+                                                stack[None])[:, entry.column]
         if vd <= 0 or vd1 <= 0 or vd1_at_d <= 0:
             raise DegenerateOptimumError("cached optimal values must be positive")
         entry.optima = (float(vd), float(vd1), float(vd1_at_d))
 
 
-def _score_model(spec: ModelSpec, params: tuple, base: np.ndarray,
-                 stack: np.ndarray):
+def _score_model(spec: ModelSpec, params: Sequence[ParamPoint], base: np.ndarray,
+                 stack: np.ndarray) -> np.ndarray:
     """The D and D1 criteria of a (T, k, m, 4) stack of new day-1 runs under
-    the S scenarios of one model, given their (S, 1, p+1, p+1) initial
-    blocks, as two (S, k) arrays with the (S, k) mask of the values that
-    stand; the others score 0.  With T = 1 every scenario scores the k
-    designs; with T = S scenario j scores row j (``augmented_info_entries``).
+    the S parameter points of one model, given their (S, 1, p+1, p+1)
+    initial blocks, as a (2, S, k) array.  With T = 1 every point scores the
+    k designs; with T = S point j scores row j (``augmented_info_entries``).
 
     One assembly call and one ``cholesky`` call give both criteria.  A
-    singular matrix, or a design outside a scenario's link domain, is masked
-    for that scenario only.
+    singular matrix, or a design outside a point's link domain, scores 0
+    for that point only.
     """
     add, feasible = augmented_info_entries(
         spec, params, stack, np.ones(stack.shape[:-1])
@@ -230,9 +216,9 @@ def _score_model(spec: ModelSpec, params: tuple, base: np.ndarray,
     n = base.shape[-1]
     chol, ok = cholesky((base + add).reshape(-1, n, n))
     shape = (len(params), stack.shape[1])
-    values = (np.exp(factor_log_det(chol) / n).reshape(shape),
-              factor_last_pivot_sq(chol).reshape(shape))
-    return values, ok.reshape(shape) & feasible
+    values = np.empty((2, len(chol)))
+    values[0], values[1] = np.exp(factor_log_det(chol) / n), factor_last_pivot_sq(chol)
+    return np.where(ok.reshape(shape) & feasible, values.reshape(2, *shape), 0.0)
 
 
 def _new_coords(design: Design) -> np.ndarray:

@@ -83,16 +83,38 @@ class TermKind(enum.Enum):
     INTERACTION = "interaction"
 
 
+# The number of factor indices each kind of term uses.
+_ARITY = {TermKind.INTERCEPT: 0, TermKind.MAIN: 1, TermKind.SQUARE: 1,
+          TermKind.INTERACTION: 2}
+
+
 @dataclass(frozen=True)
 class Term:
     """One monomial of the quadratic response surface.
 
-    Factor fields are indices into the owning ModelSpec's factor list.
+    Factor fields are indices into the owning ModelSpec's factor list.  The
+    fields a kind uses are indices >= 0, the others -1; an interaction's two
+    indices are distinct and stored in increasing order.
     """
 
     kind: TermKind
     a: int = -1
     b: int = -1
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.kind, TermKind):
+            raise ValueError(f"{self.kind!r} is not a term kind")
+        arity = _ARITY[self.kind]
+        used, unused = (self.a, self.b)[:arity], (self.a, self.b)[arity:]
+        if (not all(isinstance(i, numbers.Integral) and not isinstance(i, bool)
+                    and i >= 0 for i in used)
+                or len(set(used)) != arity or any(i != -1 for i in unused)):
+            raise ValueError(f"a {self.kind.value!r} term takes {arity} distinct "
+                             "factor indices >= 0 and -1 in its unused fields, "
+                             f"got {(self.a, self.b)}")
+        if arity == 2:
+            object.__setattr__(self, "a", min(used))
+            object.__setattr__(self, "b", max(used))
 
     @staticmethod
     def intercept() -> "Term":
@@ -108,10 +130,7 @@ class Term:
 
     @staticmethod
     def interaction(a: int, b: int) -> "Term":
-        if a == b:
-            raise ValueError("interaction requires two distinct factors")
-        lo, hi = (a, b) if a < b else (b, a)
-        return Term(TermKind.INTERACTION, lo, hi)
+        return Term(TermKind.INTERACTION, a, b)
 
 
 @dataclass(frozen=True)
@@ -194,16 +213,10 @@ class ModelSpec:
             kind, *names = item
             if not all(n in factors for n in names):
                 raise ValueError(f"term {item!r} names a factor outside {list(factors)}")
-            index = [factors.index(n) for n in names]
-            if kind == "intercept" and not index:
-                return Term.intercept()
-            if kind == "main" and len(index) == 1:
-                return Term.main(*index)
-            if kind == "square" and len(index) == 1:
-                return Term.square(*index)
-            if kind == "interaction" and len(index) == 2:
-                return Term.interaction(*index)
-            raise ValueError(f"{item!r} is not a model term")
+            try:
+                return Term(TermKind(kind), *(factors.index(n) for n in names))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{item!r} is not a model term: {exc}") from None
 
         return ModelSpec(
             name=d["name"],

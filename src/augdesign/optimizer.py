@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .criteria import Scenario, ScenarioEnsemble, phi_compromise
+from .criteria import Scenario, ScenarioEnsemble, _score_model, phi_compromise
 from .data import PUBLISHED_DESIGNS
 from .glm import COORD_MAX, COORD_MIN, GLOBAL_FACTORS as COORD_NAMES
 from .information import Design
@@ -61,7 +61,7 @@ class SearchResult:
 
 
 def pso_lockstep(
-    objective: Objective,
+    objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
     searches: int,
     m: int,
     indices: Sequence[int],
@@ -69,21 +69,21 @@ def pso_lockstep(
     seeds: Sequence[np.ndarray] = (),
 ) -> list[SearchResult]:
     """``searches`` independent global-best PSO searches over m-run designs,
-    advanced together with their restarts.  Each particle ranges over
-    [-2, 2] in the factors ``indices``; the other factors of its designs are 0.
+    advanced together.  Each particle ranges over [-2, 2] in the factors
+    ``indices``; the other factors of its designs are 0.
 
-    ``objective`` maps a (G, k, m, 4) stack of designs, search j's k in row
-    j, to (G, k) values that do not depend on the rest of the stack, and must
+    Restart r of search j is lane j * restarts + r.  ``objective`` maps an
+    (L, k, m, 4) stack of designs and the (L,) searches its rows belong to
+    to (L, k) values that do not depend on the rest of the stack, and must
     give 0 (or -inf) for infeasible designs.  It is called on the calling
-    thread, once per iteration with the swarms of the running restarts laid
-    restart-major along k, and once with a (G, 1, m, 4) stack to recompute
-    each best design's value.  ``seeds`` are (m, 4) designs placed, over the
-    factors ``indices``, as initial particles in every restart.  Each
-    restart's generator serves all searches, so each follows the path it
-    would take alone.  A search that stagnates stops there: its best point,
-    history and evaluation count keep the values of that iteration while the
-    others go on.  A restart leaves the stack once all its searches stopped.
-    Returns one result per search.
+    thread, once per iteration with the swarms of the live lanes in lane
+    order, and once with a (G, 1, m, 4) stack of each search's best design.
+    ``seeds`` are (m, 4) designs placed, over the factors ``indices``, as
+    initial particles in every lane.  Each restart's generator serves the
+    lanes of all searches, so each search follows the path it would take
+    alone.  A lane that stagnates stops there: its best point, history and
+    evaluation count keep the values of that iteration while the others go
+    on.  Returns one result per search.
     """
     columns = list(indices)
     if m < 1 or not columns or len(set(columns)) != len(columns):
@@ -106,33 +106,21 @@ def pso_lockstep(
     for i, s in enumerate(flat_seeds):
         x[:, i] = s
         v[:, i] = 0.0
-    # Row j * restarts + r holds restart r of search j, so a reshape lays
-    # each search's particles restart-major along its row of the stack.
     grid = (searches, restarts, swarm, d)
     x = np.repeat(x[None], searches, axis=0).reshape(-1, swarm, d)
 
-    def score(x: np.ndarray, running: list[bool]) -> np.ndarray:
-        """(rows, swarm) values of x; a stopped restart is not scored."""
-        if all(running):
-            return objective(designs(x.reshape(searches, -1, d))).reshape(-1, swarm)
-        values = np.full(grid[:3], -np.inf)
-        stack = x.reshape(grid)[:, running].reshape(searches, -1, d)
-        values[:, running] = objective(designs(stack)).reshape(searches, -1, swarm)
-        return values.reshape(-1, swarm)
-
     each = np.arange(searches * restarts)
-    running = [True] * restarts
-    pval = score(x, running).copy()
+    search_of = each // restarts
+    pval = objective(designs(x), search_of).copy()
     pbest = x.copy()
     g = np.argmax(pval, axis=1)
     gbest, gval = pbest[each, g], pval[each, g]
     trace = [gval.copy()]
-    # Iterations each search has run in each restart; a search is active
-    # until its best has risen by no more than TOLERANCE for
-    # STAGNATION_WINDOW iterations.
+    # Iterations each lane has run; a lane is live until its best has risen
+    # by no more than TOLERANCE for STAGNATION_WINDOW iterations.
     steps = np.zeros(len(each), dtype=int)
     since_improvement = np.zeros(len(each), dtype=int)
-    active = np.ones(len(each), dtype=bool)
+    live = np.ones(len(each), dtype=bool)
     for _ in range(config.iterations):
         r1, r2 = np.empty((2, restarts, swarm, d))
         for rng, a, b in zip(rngs, r1, r2):
@@ -148,10 +136,10 @@ def pso_lockstep(
         np.clip(x, COORD_MIN, COORD_MAX, out=x)
         v.reshape(x.shape)[clamped] = 0.0
 
-        values = score(x, running)
-        # A stopped search keeps its personal bests, so its global best
-        # cannot rise either.
-        improved = (values > pval) & active[:, None]
+        # A stopped lane reads -inf, so its bests cannot move.
+        values = np.full(pval.shape, -np.inf)
+        values[live] = objective(designs(x[live]), search_of[live])
+        improved = values > pval
         pbest[improved] = x[improved]
         pval[improved] = values[improved]
         g = np.argmax(pval, axis=1)
@@ -161,10 +149,9 @@ def pso_lockstep(
         rose = top > gval
         gbest[rose], gval[rose] = pbest[each[rose], g[rose]], top[rose]
         trace.append(gval.copy())
-        steps += active
-        active &= since_improvement < STAGNATION_WINDOW
-        running = active.reshape(searches, restarts).any(axis=0).tolist()
-        if not any(running):
+        steps += live
+        live &= since_improvement < STAGNATION_WINDOW
+        if not live.any():
             break
     trace = np.array(trace)
     best_value, best_flat = np.full(searches, -np.inf), np.zeros((searches, d))
@@ -174,7 +161,7 @@ def pso_lockstep(
         won = rows[better, r]
         best_value[better], best_flat[better] = gval[won], gbest[won]
     best = designs(best_flat[:, None])
-    recomputed = objective(best)[:, 0]
+    recomputed = objective(best, np.arange(searches))[:, 0]
     return [
         SearchResult(Design.from_coords(best[j, 0], day=1), float(recomputed[j]),
                      tuple(tuple(trace[: steps[p] + 1, p].tolist()) for p in rows[j]),
@@ -195,11 +182,13 @@ def pso_maximize(
 
     ``objective`` maps a (k, m, 4) stack of designs to k real values and
     must give 0 (or -inf) for infeasible designs.  It is called once per
-    iteration with the swarms of the running restarts, and once with a
-    stack of one to recompute the best design's value.
+    iteration with the swarms of the live restarts, restart-major, and once
+    with a stack of one to recompute the best design's value.
     """
     (result,) = pso_lockstep(
-        lambda stack: objective(stack[0])[None], 1, m, indices, config, seeds
+        lambda stack, _: objective(stack.reshape(-1, *stack.shape[2:])).reshape(
+            len(stack), -1),
+        1, m, indices, config, seeds,
     )
     return result
 
@@ -229,27 +218,33 @@ def solve_local(
     """Locally D- or D1-optimal m-run augmentations, one per (scenario,
     flavour) search, found in lockstep (``pso_lockstep``).
 
-    All scenarios belong to one model.  Each iteration scores every swarm in
-    one aligned ``ScenarioEnsemble.score`` call: search j's designs under
-    its own scenario only.  Only the model's active factors are searched;
-    the inactive coordinates of the returned designs are 0 (they do not
-    enter the criterion).  Each result equals that of the search alone.
+    All scenarios belong to one model.  Each iteration scores the swarms of
+    the live lanes in one call of the model's kernel (``_score_model``):
+    each lane's designs under its own search's scenario only.  Only the
+    model's active factors are searched; the inactive coordinates of the
+    returned designs are 0 (they do not enter the criterion).  Each result
+    equals that of the search alone.
     """
     if not searches:
         raise ValueError("solve_local needs at least one search")
-    scenarios = [scenario for scenario, _ in searches]
     if any(flavor not in ("D", "D1") for _, flavor in searches):
         raise ValueError("flavor must be 'D' or 'D1'")
-    spec = scenarios[0].spec
-    if any(s.spec != spec for s in scenarios):
+    spec = searches[0][0].spec
+    if any(s.spec != spec for s, _ in searches):
         raise ValueError("the searches of one solve_local call share one model")
-    ensemble = ScenarioEnsemble(scenarios, initial_design, m)
+    if not spec.factors:
+        raise ValueError(f"model {spec.name!r} has no factor to search")
+    # Built on one spec object, so the ensemble holds one model.
+    ensemble = ScenarioEnsemble([Scenario(spec, s.params) for s, _ in searches],
+                                initial_design, m)
+    ((_, _, params, base, _),) = ensemble._models
     indices = spec.global_indices
     d_rows = np.array([[flavor == "D"] for _, flavor in searches])
 
-    def objective(stacks: np.ndarray) -> np.ndarray:
-        scores = ensemble.score(stacks)
-        return np.where(d_rows, scores.D, scores.D1)
+    def objective(stack: np.ndarray, search_of: np.ndarray) -> np.ndarray:
+        scores = _score_model(spec, [params[j] for j in search_of], base[search_of],
+                              stack)
+        return np.where(d_rows[search_of], *scores)
 
     seeds = _published_seeds(m, indices)
     return pso_lockstep(objective, len(searches), m, indices, config, seeds)

@@ -1,10 +1,10 @@
 """The swarm search with its restarts run one after another.
 
-``optimizer.pso_lockstep`` advances every restart in one loop and scores the
-swarms of all running restarts in one objective call per iteration.  The
-tests require its results to equal, bit for bit, those of this loop, which
-runs each restart to its end before starting the next and so scores one
-restart's swarms per call.  The draws, the update rule and the stopping rule
+``optimizer.pso_lockstep`` advances every restart of every search in one
+loop and scores the swarms of all live lanes (a restart of a search) in one
+objective call per iteration.  The tests require its results to equal, bit
+for bit, those of this loop, which runs each restart to its end before
+starting the next and so scores one restart's swarms per call.  The draws, the update rule and the stopping rule
 are the same: each restart draws from its own child of
 ``SeedSequence(config.seed)``.
 """

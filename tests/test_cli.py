@@ -612,6 +612,30 @@ def test_malformed_scenario_is_parse_error(capsys, tmp_path, field, value, named
     assert named in err
 
 
+INTERCEPT_ONLY = {"name": "c", "link": "log", "factors": [], "terms": [["intercept"]]}
+
+
+@pytest.mark.parametrize("criterion", ["D", "bayesD"])
+def test_model_without_factors_is_named_by_the_search(capsys, tmp_path, criterion):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"model": INTERCEPT_ONLY, "beta": [1.0],
+                                "gamma": 0.1}))
+    code, _, err = run_cli(
+        capsys, "design", "--criterion", criterion, "--models", str(path),
+        *TINY_SEARCH,
+    )
+    assert code == EXIT_PARSE
+    assert "model 'c' has no factor to search" in err
+
+
+def test_fit_accepts_a_model_without_factors(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(INTERCEPT_ONLY))
+    code, _, _ = run_cli(capsys, "fit", "--model", str(path),
+                         "--response", "temperature")
+    assert code == EXIT_OK
+
+
 def test_bad_design_cell_is_parse_error_naming_the_line(capsys, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("run,L,K,D,FDV,day\n1,0,0,0,0,1\n2,0,x,0,0,1\n")

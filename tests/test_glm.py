@@ -15,6 +15,7 @@ from augdesign import (
     ModelSpec,
     ParamPoint,
     Term,
+    TermKind,
     fisher_info,
     fit,
     predict,
@@ -104,6 +105,45 @@ class TestTerm:
         z = regressor_matrix(spec, [(1.5, -2.0, 0.25, 0.5)])
         assert z.tolist() == [[1.0, -2.0, 2.25, 0.75]]
 
+    @pytest.mark.parametrize("kind, a, b", [
+        (TermKind.MAIN, -1, -1),
+        (TermKind.SQUARE, -2, -1),
+        (TermKind.MAIN, 0, 0),
+        (TermKind.MAIN, 0, 1),
+        (TermKind.SQUARE, 1, 1),
+        (TermKind.INTERCEPT, 0, -1),
+        (TermKind.INTERCEPT, -1, 2),
+        (TermKind.INTERACTION, 1, 1),
+        (TermKind.INTERACTION, 0, -1),
+        (TermKind.INTERACTION, -1, 2),
+        (TermKind.MAIN, True, -1),
+        (TermKind.MAIN, 0.5, -1),
+        ("main", 0, -1),
+    ])
+    def test_malformed_term_is_rejected(self, kind, a, b):
+        with pytest.raises(ValueError):
+            Term(kind, a, b)
+
+    def test_interaction_stores_its_indices_in_order(self):
+        term = Term(TermKind.INTERACTION, 2, 0)
+        assert (term.a, term.b) == (0, 2)
+        assert term == Term.interaction(0, 2)
+
+
+@st.composite
+def model_specs(draw):
+    """Valid specs: distinct factors, the intercept first, then distinct
+    terms over them, interactions drawn in either order."""
+    factors = draw(st.permutations(GLOBAL_FACTORS).flatmap(
+        lambda order: st.integers(0, 4).map(lambda q: tuple(order[:q]))))
+    q = len(factors)
+    candidates = [Term.main(i) for i in range(q)] + [Term.square(i) for i in range(q)]
+    candidates += [Term(TermKind.INTERACTION, *pair)
+                   for pair in itertools.permutations(range(q), 2)]
+    terms = draw(st.lists(st.sampled_from(candidates), unique=True)) if q else []
+    return ModelSpec(draw(st.text(max_size=5)), draw(st.sampled_from(list(Link))),
+                     factors, (Term.intercept(), *terms))
+
 
 class TestModelSpec:
     def test_intercept_must_come_first(self):
@@ -138,6 +178,10 @@ class TestModelSpec:
     @pytest.mark.parametrize("name", data.RESPONSES)
     def test_json_round_trip(self, name):
         spec = data.MODELS[name]
+        assert ModelSpec.from_dict(spec.to_dict()) == spec
+
+    @given(spec=model_specs())
+    def test_json_round_trip_of_generated_specs(self, spec):
         assert ModelSpec.from_dict(spec.to_dict()) == spec
 
     def test_global_indices(self):

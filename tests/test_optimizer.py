@@ -27,17 +27,21 @@ def sphere(stack):
     return -np.sum((stack - 1.0) ** 2, axis=(-2, -1))
 
 
-def plateaus(stack):
-    """Search j's values in a (G, k, m, 4) stack: minus the squared distance
-    to a centre of its own, floored to a step of its own (none for the
-    third), so that searches and restarts stagnate at different
-    iterations."""
-    searches = stack.shape[0]
-    centres = np.array([0.5, -1.0, 1.5])[:searches, None, None, None]
-    steps = np.array([0.25, 1e-3, 0.0])[:searches, None]
+def plateaus(stack, searches):
+    """The values of an (L, k, m, 4) stack whose row i belongs to search
+    ``searches[i]``: minus the squared distance to a centre of the search's
+    own, floored to a step of its own (none for the third), so that searches
+    and restarts stagnate at different iterations."""
+    centres = np.array([0.5, -1.0, 1.5])[searches, None, None, None]
+    steps = np.array([0.25, 1e-3, 0.0])[searches, None]
     dist = np.sum((stack - centres) ** 2, axis=(-2, -1))
     floored = np.floor(dist / np.where(steps > 0, steps, 1.0)) * steps
     return -np.where(steps > 0, floored, dist)
+
+
+def plateaus_by_row(stack):
+    """``plateaus`` of a (G, k, m, 4) stack with search j in row j."""
+    return plateaus(stack, np.arange(len(stack)))
 
 
 # Three restarts that all stagnate, each at another iteration.
@@ -297,14 +301,17 @@ class TestLockstep:
             swarm = self.STALLING.swarm_size
             assert got.evaluations == swarm * sum(map(len, got.history))
 
-    def test_scores_the_running_restarts_only(self, monkeypatch):
-        shapes = []
+    def stalling_temperature_searches(self, monkeypatch):
+        """The D and D1 searches of pm10pm20's temperature scenarios at the
+        STALLING budget, their results, and each objective call's stack
+        shape and searches."""
+        calls = []
         lockstep = optimizer.pso_lockstep
 
         def spy(objective, *args):
-            def counted(stack):
-                shapes.append(stack.shape)
-                return objective(stack)
+            def counted(stack, searches):
+                calls.append((stack.shape, searches.tolist()))
+                return objective(stack, searches)
             return lockstep(counted, *args)
 
         monkeypatch.setattr(optimizer, "pso_lockstep", spy)
@@ -312,15 +319,29 @@ class TestLockstep:
         searches = [(s, flavor) for s in ens.scenarios
                     if s.spec.name == "temperature" for flavor in ("D", "D1")]
         results = solve_local(searches, ens.initial_design, ens.m, self.STALLING)
-        # A restart runs, and is scored, until the last of its searches stops.
-        longest = [max(len(r.history[k]) for r in results)
-                   for k in range(self.STALLING.restarts)]
-        assert len(set(longest)) > 1
+        return searches, results, calls
+
+    def test_scores_the_live_lanes_only(self, monkeypatch):
+        searches, results, calls = self.stalling_temperature_searches(monkeypatch)
+        # A lane is scored, in lane order, until it stops.
+        lengths = [(j, len(h)) for j, r in enumerate(results) for h in r.history]
+        assert len({n for _, n in lengths}) > 1
         swarm, g = self.STALLING.swarm_size, len(searches)
-        running = [sum(n > t for n in longest) for t in range(max(longest))]
-        assert shapes == ([(g, swarm * n, ens.m, 4) for n in running]
-                          + [(g, 1, ens.m, 4)])
-        assert sum(a * k for a, k, *_ in shapes) == sum(longest) * swarm * g + g
+        live = [[j for j, n in lengths if n > t]
+                for t in range(max(n for _, n in lengths))]
+        assert calls == ([((len(js), swarm, 4, 4), js) for js in live]
+                         + [((g, 1, 4, 4), list(range(g)))])
+        assert (sum(shape[0] * shape[1] for shape, _ in calls)
+                == swarm * sum(n for _, n in lengths) + g)
+
+    def test_evaluations_are_the_designs_scored(self, monkeypatch):
+        searches, results, calls = self.stalling_temperature_searches(monkeypatch)
+        assert any(len(h) < self.STALLING.iterations + 1
+                   for r in results for h in r.history)
+        swarm = self.STALLING.swarm_size
+        for j, result in enumerate(results):
+            scored = sum(swarm * js.count(j) for _, js in calls[:-1])
+            assert result.evaluations == scored
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -342,7 +363,8 @@ class TestLockstep:
         seeds = [np.full((m, 4), 0.5)] if seeded else []
         together = optimizer.pso_lockstep(plateaus, searches, m, indices, config,
                                           seeds)
-        one_by_one = pso_sequential(plateaus, searches, m, indices, config, seeds)
+        one_by_one = pso_sequential(plateaus_by_row, searches, m, indices, config,
+                                    seeds)
         for got, want in zip(together, one_by_one, strict=True):
             assert got.best_design == want.best_design
             assert got.best_value == want.best_value
@@ -360,8 +382,9 @@ class TestLockstep:
         assert max(longest) <= config.iterations
 
     def test_one_search_is_pso_maximize(self):
-        # sphere sums over the last two axes, so it scores (1, k, 2, 4) too.
-        (together,) = optimizer.pso_lockstep(sphere, 1, 2, ALL, SMALL)
+        # sphere sums over the last two axes, so it scores (L, k, 2, 4) too.
+        (together,) = optimizer.pso_lockstep(lambda stack, _: sphere(stack),
+                                             1, 2, ALL, SMALL)
         alone = pso_maximize(sphere, 2, ALL, SMALL)
         assert together.best_design == alone.best_design
         assert (together.best_value, together.history, together.evaluations) == (
