@@ -36,7 +36,7 @@ from .glm import (
     Term,
     TermKind,
 )
-from .information import Design, write_csv
+from .information import Design, fisher_info, write_csv
 from .optimizer import PsoConfig, build_cache, solve_compromise, solve_local
 
 EXIT_OK = 0
@@ -267,6 +267,10 @@ def cmd_efficiency(args) -> int:
             raise DimensionError(
                 f"designs have different sizes: {m} vs {len(other)}"
             )
+        # A run outside the link domain would score the design 0; raise
+        # InvalidPredictorError (exit 6) instead.
+        fisher_info(scenario.spec, scenario.params, other,
+                    what=f"the design in {args.relative_to}")
         denom = getattr(ensemble.score_design(other), args.flavor)[0]
         if denom <= 0:
             raise DimensionError("comparison design has zero criterion value")
@@ -279,6 +283,8 @@ def cmd_efficiency(args) -> int:
         if denom <= 0:
             raise DegenerateOptimumError(f"the local {args.flavor} optimum is 0")
         label = "vs local optimum"
+    fisher_info(scenario.spec, scenario.params, design,
+                what=f"the design in {args.design}")
     ratio = getattr(ensemble.score_design(design), args.flavor)[0] / denom
     print(f"eff_{args.flavor} {label}: {100*ratio:.2f}%")
     return EXIT_OK

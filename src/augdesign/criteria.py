@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -14,7 +14,6 @@ from .information import (
     Design,
     augmented_info_entries,
     cholesky,
-    factor_last_pivot_sq,
     factor_log_det,
     require_inside,
 )
@@ -83,6 +82,20 @@ class Scenario:
         object.__setattr__(self, "params", params)
 
 
+class _Model(NamedTuple):
+    """One model's share of an ensemble: its scenarios' rows, the model, its
+    parameters as ``augmented_info_entries`` takes them (one (p,) beta when
+    all rows share it, else (S, p); an (S, 1, 1) gamma column), the
+    (S, 1, p+1, p+1) initial blocks and the information classes."""
+
+    rows: Union[slice, np.ndarray]
+    spec: ModelSpec
+    beta: np.ndarray
+    gamma: np.ndarray
+    base: np.ndarray
+    classes: tuple
+
+
 @dataclass(eq=False, slots=True)
 class _Entry:
     """A scenario's row of the scores, its model and column there, and optima
@@ -131,24 +144,29 @@ class ScenarioEnsemble:
             key = None if s.spec.link is Link.LOG else s.params
             grouped.setdefault(id(s.spec), {}).setdefault(key, []).append(i)
         coords = initial_design.coords[None]
-        days = np.zeros(coords.shape[:-1])
         # Per model: the rows (a slice when adjacent, as model_ensemble orders
         # them, because writing to a slice is cheaper than to an index array),
-        # the model, the parameters, their (S, 1, p+1, p+1) initial blocks in
-        # one call, and the classes.  _index keys the entries by spec identity
-        # (hashing a ModelSpec costs microseconds); a repeat shares the first entry.
+        # the model, its parameters as arrays (``_Model``), the (S, 1, p+1,
+        # p+1) initial blocks from one call, and the classes.  _index keys
+        # the entries by spec identity (hashing a ModelSpec costs
+        # microseconds); a repeat shares the first entry.
         self._table: list[_Entry] = [None] * len(self.scenarios)
         self._index: dict[tuple[int, ParamPoint], _Entry] = {}
-        self._models = []
+        self._models: list[_Model] = []
         for shared in grouped.values():
             r = sorted(i for members in shared.values() for i in members)
             spec = self.scenarios[r[0]].spec
-            params = tuple(self.scenarios[i].params for i in r)
-            base, inside = augmented_info_entries(spec, params, coords, days)
+            params = [self.scenarios[i].params for i in r]
+            beta = np.array([q.beta for q in params])
+            if (beta == beta[0]).all():
+                beta = beta[0]
+            gamma = np.array([q.gamma for q in params]).reshape(-1, 1, 1)
+            base, inside = augmented_info_entries(spec, beta, gamma[..., 0],
+                                                  coords, 0.0)
             require_inside(spec, inside, "the initial design")
             rows = slice(r[0], r[-1] + 1) if r[-1] - r[0] == len(r) - 1 else np.array(r)
             classes = tuple(map(tuple, shared.values()))
-            self._models.append((rows, spec, params, base[:, None], classes))
+            self._models.append(_Model(rows, spec, beta, gamma, base[:, None], classes))
             for column, (i, q) in enumerate(zip(r, params)):
                 self._table[i] = self._index.setdefault(
                     (id(spec), q), _Entry(i, self._models[-1], column))
@@ -161,8 +179,8 @@ class ScenarioEnsemble:
             raise ValueError("a stack of designs must have shape (k, m, 4), "
                              f"got shape {stack.shape}")
         values = np.empty((2, len(self.scenarios), len(stack)))
-        for rows, spec, params, base, _ in self._models:
-            values[:, rows] = _score_model(spec, params, base, stack[None])
+        for rows, spec, beta, gamma, base, _ in self._models:
+            values[:, rows] = _score_model(spec, beta, gamma, base, stack[None])
         return StackScores(*values)
 
     def score_design(self, design: Design) -> StackScores:
@@ -190,35 +208,40 @@ class ScenarioEnsemble:
             raise ValueError(f"optima of {len(d_opt)} and {len(d1_opt)} runs cannot "
                              f"be cached for an ensemble of m={self.m} new runs")
         entry = self._table[idx]
-        _, spec, params, base, _ = entry.model
+        _, spec, beta, gamma, base, _ = entry.model
         stack = np.stack([_new_coords(d_opt), _new_coords(d1_opt)])
-        (vd, _), (vd1_at_d, vd1) = _score_model(spec, params, base,
+        (vd, _), (vd1_at_d, vd1) = _score_model(spec, beta, gamma, base,
                                                 stack[None])[:, entry.column]
         if vd <= 0 or vd1 <= 0 or vd1_at_d <= 0:
             raise DegenerateOptimumError("cached optimal values must be positive")
         entry.optima = (float(vd), float(vd1), float(vd1_at_d))
 
 
-def _score_model(spec: ModelSpec, params: Sequence[ParamPoint], base: np.ndarray,
-                 stack: np.ndarray) -> np.ndarray:
+def _score_model(spec: ModelSpec, beta: np.ndarray, gamma: np.ndarray,
+                 base: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """The D and D1 criteria of a (T, k, m, 4) stack of new day-1 runs under
-    the S parameter points of one model, given their (S, 1, p+1, p+1)
-    initial blocks, as a (2, S, k) array.  With T = 1 every point scores the
-    k designs; with T = S point j scores row j (``augmented_info_entries``).
+    the S parameter points of one model (``beta`` and ``gamma`` as in
+    ``augmented_info_entries``), given their (S, 1, p+1, p+1) initial blocks,
+    as a (2, S, k) array.  With T = 1 every point scores the k designs; with
+    T = S point j scores row j.
 
     One assembly call and one ``cholesky`` call give both criteria.  A
     singular matrix, or a design outside a point's link domain, scores 0
     for that point only.
     """
-    add, feasible = augmented_info_entries(
-        spec, params, stack, np.ones(stack.shape[:-1])
-    )
-    n = base.shape[-1]
-    chol, ok = cholesky((base + add).reshape(-1, n, n))
-    shape = (len(params), stack.shape[1])
+    add, ok = augmented_info_entries(spec, beta, gamma, stack, 1.0)
+    add += base
+    n = add.shape[-1]
+    chol, factored = cholesky(add.reshape(-1, n, n))
+    ok = factored if ok is True else factored & ok.reshape(-1)
+    # With I = L L^T, D = |I|^(1/n) and, since (I^{-1})_nn = 1 / L_nn^2,
+    # D1 = L_nn^2.
     values = np.empty((2, len(chol)))
-    values[0], values[1] = np.exp(factor_log_det(chol) / n), factor_last_pivot_sq(chol)
-    return np.where(ok.reshape(shape) & feasible, values.reshape(2, *shape), 0.0)
+    np.exp(factor_log_det(chol) / n, out=values[0])
+    np.square(chol[:, -1, -1], out=values[1])
+    if not ok.all():
+        values[:, ~ok] = 0.0
+    return values.reshape(2, len(gamma), stack.shape[1])
 
 
 def _new_coords(design: Design) -> np.ndarray:

@@ -242,7 +242,6 @@ def regressor_matrix(spec: ModelSpec, coords: np.ndarray) -> np.ndarray:
     extended = np.empty((len(coords), 1 + len(GLOBAL_FACTORS)))
     extended[:, 0] = 1.0
     extended[:, 1:] = coords
-    left, right = spec.slots
-    return np.multiply(
-        extended.take(left, axis=1), extended.take(right, axis=1), order="C"
-    )
+    # One gather of both slots of every term: (n, 2, p).
+    pairs = extended[:, spec.slots]
+    return np.multiply(pairs[:, 0], pairs[:, 1], order="C")

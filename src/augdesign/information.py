@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -143,40 +142,45 @@ def read_csv(
 
 def augmented_info_entries(
     spec: ModelSpec,
-    params: Sequence[ParamPoint],
+    beta: np.ndarray,
+    gamma: np.ndarray,
     coords: np.ndarray,
-    days: np.ndarray,
+    days,
 ):
     """Raw (p+1)x(p+1) information entries of S parameter points of one model
     for given coordinates and day flags.
 
-    A (T, ..., n, 4) array of coordinates with (T, ..., n) day flags gives the
-    (S, ..., p+1, p+1) stack with an (S, ...) mask of the matrices whose
-    predictors all lie in the link domain, or True when all of them do.  The
-    leading axis has length T = 1, whose runs are assembled under every
-    parameter point, or T = S, whose row j is assembled under point j only.
-    The weighting and the mask are ``weighted_gram``'s.
+    ``beta`` is one (p,) vector shared by every point or an (S, p) array of
+    one row per point, and ``gamma`` the points' day effects as an (S, 1, ...)
+    column that broadcasts against the predictors.  A (T, ..., n, 4) array
+    of coordinates with (T, ..., n) day flags, or one flag for every run,
+    gives the (S, ..., p+1, p+1) stack with an (S, ...) mask of the matrices
+    whose predictors all lie in the link domain, or True when all of them
+    do.  The leading axis has length T = 1, whose runs are assembled under
+    every parameter point, or T = S, whose row j is assembled under point j
+    only.  The weighting and the mask are ``weighted_gram``'s.
     """
-    if len(coords) not in (1, len(params)):
+    if len(coords) not in (1, len(gamma)):
         raise ValueError(f"{len(coords)} rows of coordinates for "
-                         f"{len(params)} parameter points; give 1 or one each")
+                         f"{len(gamma)} parameter points; give 1 or one each")
+    shape, p = coords.shape[:-1], spec.p
     Z = regressor_matrix(spec, coords.reshape(-1, len(GLOBAL_FACTORS)))
-    Z = Z.reshape(*coords.shape[:-1], spec.p)
-    Zs = np.concatenate([Z, days[..., None].astype(float, copy=False)], axis=-1)
-    # One matrix-vector product per distinct beta and row, not one Z·B
-    # product over all of them: that rounds differently, and a predictor
-    # near 0 turns its last bit into a visible change of the 1/eta^2 weight.
-    # Scenarios that differ only in gamma, as a day-effect prior gives, share
-    # one product without stacking copies of it.
-    betas = {q.beta for q in params}
-    if len(betas) == 1:
-        zb = Z @ np.asarray(params[0].beta)
+    Z = Z.reshape(*shape, p)
+    Zs = np.empty((*shape, p + 1))
+    Zs[..., :p] = Z
+    Zs[..., p] = days
+    # One matrix-vector product per distinct beta and row, on the C-ordered
+    # Z, not one Z·B product over all of them: that rounds differently, and
+    # a predictor near 0 turns its last bit into a visible change of the
+    # 1/eta^2 weight.  Scenarios that differ only in gamma, as a day-effect
+    # prior gives, share one product without stacking copies of it.
+    if beta.ndim == 1:
+        zb = Z @ beta
     elif len(Z) == 1:
-        zb = {b: Z[0] @ np.asarray(b) for b in betas}
-        zb = np.stack([zb[q.beta] for q in params])
+        distinct, which = np.unique(beta, axis=0, return_inverse=True)
+        zb = np.stack([Z[0] @ b for b in distinct])[which.reshape(-1)]
     else:
-        zb = np.stack([z @ np.asarray(q.beta) for z, q in zip(Z, params)])
-    gamma = np.array([q.gamma for q in params]).reshape(-1, *(1,) * (days.ndim - 1))
+        zb = np.stack([z @ b for z, b in zip(Z, beta)])
     return weighted_gram(spec.link, Zs, zb + days * gamma)
 
 
@@ -210,6 +214,7 @@ def fisher_info(
     params: ParamPoint,
     design: Design,
     with_day_effect: bool = True,
+    what: str = "the design",
 ) -> np.ndarray:
     """Fisher information of a design, optionally with the day-effect column.
 
@@ -217,7 +222,8 @@ def fisher_info(
     weight is evaluated at z^T beta + t*gamma; without it, day flags are
     ignored and the plain p-dimensional information is returned.  The shape
     parameter is fixed to 1 (criteria are positively homogeneous in it).
-    A predictor outside the link domain raises ``InvalidPredictorError``.
+    A predictor outside the link domain raises ``InvalidPredictorError``,
+    whose message names the design by ``what``.
     """
     if len(params.beta) != spec.p:
         raise ValueError("beta length must equal the spec's term count")
@@ -230,9 +236,10 @@ def fisher_info(
         # information.
         params, days = ParamPoint(params.beta, 0.0), np.zeros(len(design))
     (entries,), inside = augmented_info_entries(
-        spec, (params,), design.coords[None], days[None]
+        spec, np.asarray(params.beta), np.array([[params.gamma]]),
+        design.coords[None], days[None],
     )
-    require_inside(spec, inside, "the design")
+    require_inside(spec, inside, what)
     return entries if with_day_effect else entries[:-1, :-1]
 
 
@@ -270,9 +277,3 @@ def cholesky(a: np.ndarray):
 def factor_log_det(chol: np.ndarray):
     """log det(L L^T) = 2 sum log diag L, over the last two axes of ``chol``."""
     return 2.0 * np.log(chol.diagonal(0, -2, -1)).sum(-1)
-
-
-def factor_last_pivot_sq(chol: np.ndarray):
-    """L_nn^2, over the last two axes: with I = L L^T, (I^{-1})_nn = 1 / L_nn^2,
-    so this is (e^T I^{-1} e)^{-1} for the last coordinate."""
-    return chol[..., -1, -1] ** 2

@@ -121,27 +121,27 @@ def pso_lockstep(
     steps = np.zeros(len(each), dtype=int)
     since_improvement = np.zeros(len(each), dtype=int)
     live = np.ones(len(each), dtype=bool)
+    # Each restart draws its r1 and r2 in one call: the same stream as two.
+    draws = np.empty((restarts, 2, swarm, d))
     for _ in range(config.iterations):
-        r1, r2 = np.empty((2, restarts, swarm, d))
-        for rng, a, b in zip(rngs, r1, r2):
-            rng.random(out=a)
-            rng.random(out=b)
+        for rng, out in zip(rngs, draws):
+            rng.random(out=out)
         v = (
             INERTIA * v
-            + COGNITIVE * r1 * (pbest - x).reshape(grid)
-            + SOCIAL * r2 * (gbest[:, None] - x).reshape(grid)
+            + COGNITIVE * draws[:, 0] * (pbest - x).reshape(grid)
+            + SOCIAL * draws[:, 1] * (gbest[:, None] - x).reshape(grid)
         )
-        x = x + v.reshape(x.shape)
+        x += v.reshape(x.shape)
         clamped = (x < COORD_MIN) | (x > COORD_MAX)
         np.clip(x, COORD_MIN, COORD_MAX, out=x)
-        v.reshape(x.shape)[clamped] = 0.0
+        np.copyto(v.reshape(x.shape), 0.0, where=clamped)
 
         # A stopped lane reads -inf, so its bests cannot move.
         values = np.full(pval.shape, -np.inf)
         values[live] = objective(designs(x[live]), search_of[live])
         improved = values > pval
-        pbest[improved] = x[improved]
-        pval[improved] = values[improved]
+        np.copyto(pbest, x, where=improved[..., None])
+        np.copyto(pval, values, where=improved)
         g = np.argmax(pval, axis=1)
         top = pval[each, g]
         since_improvement = np.where(top > gval + TOLERANCE, 0,
@@ -237,12 +237,13 @@ def solve_local(
     # Built on one spec object, so the ensemble holds one model.
     ensemble = ScenarioEnsemble([Scenario(spec, s.params) for s, _ in searches],
                                 initial_design, m)
-    ((_, _, params, base, _),) = ensemble._models
+    ((_, _, beta, gamma, base, _),) = ensemble._models
     indices = spec.global_indices
     d_rows = np.array([[flavor == "D"] for _, flavor in searches])
 
     def objective(stack: np.ndarray, search_of: np.ndarray) -> np.ndarray:
-        scores = _score_model(spec, [params[j] for j in search_of], base[search_of],
+        lane_beta = beta if beta.ndim == 1 else beta[search_of]
+        scores = _score_model(spec, lane_beta, gamma[search_of], base[search_of],
                               stack)
         return np.where(d_rows[search_of], *scores)
 

@@ -2,7 +2,7 @@
 
 The stacked path (``ScenarioEnsemble.score``) is checked against these
 functions.  Each assembles one scenario's information by calling
-``augmented_info_entries`` with a one-tuple of parameter points and factors
+``augmented_info_entries`` with one parameter point and factors
 it by ``cholesky`` below, under the same ``SINGULAR_TOL`` rule, so a
 singular or infeasible design gives the same zeros.
 
@@ -57,8 +57,10 @@ def inv_quadratic_form(a: np.ndarray) -> float:
 
 def _entries(scenario, coords, days):
     """One scenario's information entries, or None outside the link domain."""
+    q = scenario.params
     (entries,), inside = augmented_info_entries(
-        scenario.spec, (scenario.params,), coords[None], days[None]
+        scenario.spec, np.asarray(q.beta), np.array([[q.gamma]]), coords[None],
+        days[None],
     )
     return entries if np.all(inside) else None
 

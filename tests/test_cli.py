@@ -488,6 +488,52 @@ class TestEfficiencyCommand:
         assert code == EXIT_CACHE
         assert "cache error" in err
 
+    @pytest.fixture
+    def corner_case(self, tmp_path):
+        """The temperature model with intercept 100, under which the CCD lies
+        inside the identity link's domain, and a design of day-1 runs with
+        three corners where the predictor does not."""
+        e = data.ESTIMATES["temperature"]
+        model = tmp_path / "t100.json"
+        model.write_text(json.dumps({
+            "model": data.MODELS["temperature"].to_dict(),
+            "beta": [100.0, *e.beta[1:]],
+            "gamma": e.gamma,
+        }))
+        corner = tmp_path / "corner.csv"
+        runs = [[2, -2, 2, 0], [-2, 2, -2, 0], [2, 2, -2, 0], [0, 0, 0, 0]]
+        corner.write_text(Design.from_coords(runs, day=1).to_csv())
+        return model, corner
+
+    @pytest.mark.parametrize("swapped", [False, True], ids=["design", "relative-to"])
+    def test_design_outside_the_domain_is_domain_error(
+        self, capsys, reference_csv, corner_case, swapped
+    ):
+        # Scored, the corner design reads 0: as the design it printed 0.00%,
+        # as the comparison a zero criterion value.
+        model, corner = corner_case
+        design, other = (reference_csv, corner) if swapped else (corner, reference_csv)
+        code, stdout, err = run_cli(
+            capsys, "efficiency", "--design", str(design),
+            "--relative-to", str(other), "--model", str(model),
+        )
+        assert code == EXIT_DOMAIN
+        assert stdout == ""
+        assert (f"domain error: the design in {corner} lies outside the identity "
+                "link's domain under model 'temperature'") in err
+
+    def test_design_outside_the_domain_vs_local_optimum_is_domain_error(
+        self, capsys, corner_case
+    ):
+        model, corner = corner_case
+        code, stdout, err = run_cli(
+            capsys, "efficiency", "--design", str(corner), "--model", str(model),
+            *TINY_SEARCH,
+        )
+        assert code == EXIT_DOMAIN
+        assert stdout == ""
+        assert f"the design in {corner}" in err and "model 'temperature'" in err
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -20,6 +20,8 @@ from augdesign import (
     phi_compromise,
 )
 from augdesign import criteria, data
+from augdesign.glm import InvalidPredictorError, Link
+import assembly_oracle
 from scalar_oracle import phi_D, phi_D1
 
 
@@ -106,12 +108,13 @@ class TestEnsemble:
         # scenarios; each equals that scenario's own information bit for bit.
         # STACK_ENSEMBLE adds scenarios whose beta differs within a model.
         ens = data.model_ensemble(gammas) if gammas else STACK_ENSEMBLE
-        for rows, spec, params, base, _ in ens._models:
-            assert base.shape[:2] == (len(params), 1)
-            for block, q in zip(base[:, 0], params):
-                assert np.array_equal(
-                    block, fisher_info(spec, q, data.initial_design())
-                )
+        for model in ens._models:
+            rows = np.arange(len(ens.scenarios))[model.rows]
+            assert model.base.shape[:2] == (len(rows), 1)
+            for block, i in zip(model.base[:, 0], rows):
+                assert np.array_equal(block, fisher_info(
+                    model.spec, ens.scenarios[i].params, data.initial_design()
+                ))
 
     def test_initial_design_must_be_day_zero(self):
         with pytest.raises(ValueError):
@@ -431,8 +434,8 @@ def aligned_scores(ens, stack):
     """The (2, S, k) criteria of an (S, k, m, 4) stack, row j scored under
     scenario j only: each model's ``_score_model`` in its T = S form."""
     values = np.empty((2, *stack.shape[:2]))
-    for rows, spec, params, base, _ in ens._models:
-        values[:, rows] = criteria._score_model(spec, params, base, stack[rows])
+    for rows, spec, beta, gamma, base, _ in ens._models:
+        values[:, rows] = criteria._score_model(spec, beta, gamma, base, stack[rows])
     return values
 
 
@@ -625,6 +628,126 @@ class TestStacked:
         for got, want in zip(scores, expect):
             assert_same_as_scalar(got, want)
             assert got[0, 0] == 0.0 and np.all(got[1] > 0.0)
+
+
+def _oracle_ensemble():
+    """STACK_ENSEMBLE's scenarios and one whose day-1 predictor is 1e-6 at
+    the centre, so that numpy's Cholesky rejects any temperature stack that
+    holds the centre design and the kernel factors it one matrix at a time.
+    Its temperature and flame-width models have several beta each, and its
+    models span the three links."""
+    base = data.ESTIMATES["temperature"]
+    near_zero = Scenario(data.MODELS["temperature"],
+                         ParamPoint(base.beta, 1e-6 - base.beta[0]))
+    return ScenarioEnsemble([*STACK_ENSEMBLE.scenarios, near_zero],
+                            data.initial_design(), 4)
+
+
+ORACLE_ENSEMBLE = _oracle_ensemble()
+# Per model: its row of the ensemble's table, and its scenarios' parameter
+# points and initial blocks as the reference builds them.
+ORACLE_MODELS = [
+    (model, params,
+     assembly_oracle.initial_blocks(model.spec, params, ORACLE_ENSEMBLE.initial_design))
+    for model in ORACLE_ENSEMBLE._models
+    for params in [[ORACLE_ENSEMBLE.scenarios[i].params
+                    for i in np.arange(len(ORACLE_ENSEMBLE.scenarios))[model.rows]]]
+]
+
+
+def oracle_stack(seed, shape, centre):
+    """A (*shape, 4, 4) stack of designs in the box, about a third of its
+    coordinates at -2 or 2, and with ``centre`` the centre design first in
+    every row."""
+    rng = np.random.default_rng(seed)
+    stack = rng.uniform(-2.0, 2.0, size=(*shape, 4, 4))
+    corner = rng.random(stack.shape) < 1 / 3
+    stack[corner] = rng.choice([-2.0, 2.0], size=int(corner.sum()))
+    if centre:
+        stack[:, 0] = 0.0
+    return stack
+
+
+class TestKernelOracle:
+    """``_score_model`` against the kernel before it took its parameters as
+    arrays (``tests/assembly_oracle.py``): the same bytes, zeros included."""
+
+    def test_initial_blocks_equal_the_reference(self):
+        for model, _, ref_base in ORACLE_MODELS:
+            assert model.base.tobytes() == ref_base.tobytes()
+
+    def test_models_span_the_links_and_several_betas(self):
+        links = {model.spec.link for model, _, _ in ORACLE_MODELS}
+        assert links == set(Link)
+        shapes = [model.beta.ndim for model, _, _ in ORACLE_MODELS]
+        assert shapes.count(2) == 2 and shapes.count(1) == 2
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([1, 3, 40, 100, 500]),
+        aligned=st.booleans(),
+        centre=st.booleans(),
+    )
+    @example(seed=1, k=500, aligned=False, centre=True)
+    @example(seed=2, k=100, aligned=True, centre=True)
+    def test_kernel_equals_the_reference(self, seed, k, aligned, centre):
+        # T = 1 scores k designs under every scenario of a model; T = S
+        # scores row j under scenario j only.
+        for model, params, ref_base in ORACLE_MODELS:
+            stack = oracle_stack(seed, (len(params) if aligned else 1, k), centre)
+            got = criteria._score_model(model.spec, model.beta, model.gamma,
+                                        model.base, stack)
+            want = assembly_oracle._score_model(model.spec, params, ref_base, stack)
+            assert got.shape == want.shape == (2, len(params), k)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("aligned", [False, True], ids=["T=1", "T=S"])
+    def test_stacks_hold_zeros_of_both_kinds(self, monkeypatch, aligned):
+        # The reference cases above meet the domain mask, the SINGULAR_TOL
+        # test and the one-matrix-at-a-time fallback.
+        model, params, ref_base = ORACLE_MODELS[0]
+        assert model.spec.name == "temperature"
+        stack = oracle_stack(1, (len(params) if aligned else 1, 100), True)
+        want = assembly_oracle._score_model(model.spec, params, ref_base, stack)
+        calls = count_single_matrix_factorizations(monkeypatch)
+        got = criteria._score_model(model.spec, model.beta, model.gamma,
+                                    model.base, stack)
+        assert calls
+        # LOW is the last scenario of STACK_ENSEMBLE; its column in the model.
+        rows = np.arange(len(ORACLE_ENSEMBLE.scenarios))[model.rows]
+        low = rows.tolist().index(len(STACK_ENSEMBLE.scenarios) - 1)
+        assert params[low] == LOW.params
+        assert np.any(got[:, low] == 0.0) and np.any(got[:, low] > 0.0)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           k=st.sampled_from([1, 7, 100, 1000]))
+    def test_score_equals_the_reference(self, seed, k):
+        stack = oracle_stack(seed, (1, k), seed % 2 == 0)
+        got = ORACLE_ENSEMBLE.score(stack[0])
+        for model, params, ref_base in ORACLE_MODELS:
+            want = assembly_oracle._score_model(model.spec, params, ref_base, stack)
+            assert np.stack(got)[:, model.rows].tobytes() == want.tobytes()
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
+    def test_fisher_info_equals_the_reference(self, seed, n):
+        # Mixed day flags, through the information module's own call.
+        rng = np.random.default_rng(seed)
+        design = Design(oracle_stack(seed, (1, 3), False).reshape(-1, 4)[:n],
+                        rng.integers(0, 2, size=n))
+        for model, params, _ in ORACLE_MODELS:
+            for q in params:
+                want, inside = assembly_oracle.augmented_info_entries(
+                    model.spec, (q,), design.coords[None], design.days[None])
+                if np.all(inside):
+                    got = fisher_info(model.spec, q, design)
+                    assert got.tobytes() == want[0].tobytes()
+                else:
+                    with pytest.raises(InvalidPredictorError):
+                        fisher_info(model.spec, q, design)
 
 
 # Up to three designs, box corners among them, and a sequence of calls that
