@@ -3,17 +3,21 @@ and the alpha-compromise between estimation and day-effect testing."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .glm import Link, ModelSpec, ParamPoint, is_number
+from .glm import (
+    GLOBAL_FACTORS, Link, ModelSpec, ParamPoint, Term, is_number, regressor_matrix,
+)
 from .information import (
     Design,
     augmented_info_entries,
     cholesky,
+    eliminate,
     factor_log_det,
     require_inside,
 )
@@ -24,11 +28,12 @@ class StackScores(NamedTuple):
     k designs under each of an ensemble's S scenarios, as two (S, k) arrays
     in scenario order (``ScenarioEnsemble.score``), or of one design as two
     (S,) arrays (``ScenarioEnsemble.score_design``).  I is the information
-    with the day-effect column last; a singular or infeasible design scores 0.
+    with the day-effect column last; a design with a predictor outside the
+    scenario's link domain scores 0.
 
     The criteria take it in place of the (k, m, 4) stack it scores and read
-    their scenario's row, so a stack is assembled and factored once however
-    many averages use it.
+    their scenario's row, so a stack is scored once however many averages
+    use it.
     """
 
     D: np.ndarray
@@ -82,27 +87,38 @@ class Scenario:
         object.__setattr__(self, "params", params)
 
 
-class _Model(NamedTuple):
-    """One model's share of an ensemble: its scenarios' rows, the model, its
-    parameters as ``augmented_info_entries`` takes them (one (p,) beta when
-    all rows share it, else (S, p); an (S, 1, 1) gamma column), the
-    (S, 1, p+1, p+1) initial blocks and the information classes."""
+# The 15 terms of a full quadratic: ``_score`` forms a stack's regressors
+# once over them, and each model takes its own columns.
+_QUADRATIC = ModelSpec("full quadratic", Link.LOG, GLOBAL_FACTORS, (
+    Term.intercept(), *map(Term.main, range(4)), *map(Term.square, range(4)),
+    *itertools.starmap(Term.interaction, itertools.combinations(range(4), 2))))
 
-    rows: Union[slice, np.ndarray]
+
+class _Model(NamedTuple):
+    """One model's share of an ensemble: the model, its columns of the full
+    quadratic and its information classes (the rows of each).  Per key, a
+    distinct beta (one under a log link, whose weights are all 1): beta,
+    L^{-T} of the day-0 information A = L L^T and log det A, as (K, p, 1),
+    (K, p, p) and (K,) arrays.  Per class: its key and its day effect."""
+
     spec: ModelSpec
-    beta: np.ndarray
-    gamma: np.ndarray
-    base: np.ndarray
+    columns: np.ndarray
     classes: tuple
+    beta: np.ndarray
+    whiten: np.ndarray
+    log_det: np.ndarray
+    key: np.ndarray
+    gamma: np.ndarray
 
 
 @dataclass(eq=False, slots=True)
 class _Entry:
-    """A scenario's row of the scores, its model and column there, and optima
-    (D at the D-, D1 at the D1-, D1 at the D-optimum), None until cached."""
+    """A scenario's row of the scores, its model and information class
+    there, and optima (D at the D-, D1 at the D1-, D1 at the D-optimum),
+    None until cached."""
 
     row: int
-    model: tuple
+    model: _Model
     column: int
     optima: Optional[tuple[float, float, float]] = None
 
@@ -110,8 +126,8 @@ class _Entry:
 class ScenarioEnsemble:
     """Weighted finite scenario set sharing one fixed initial design.
 
-    Precomputes each scenario's initial-day information block so that
-    evaluating a candidate set of m new runs only adds m rank-1 terms.
+    Whitens each model's day-0 information once, so that scoring a
+    candidate set of m new runs factors only an m x m matrix (``_score``).
     """
 
     def __init__(self, scenarios: list[Scenario], initial_design: Design, m: int):
@@ -143,45 +159,51 @@ class ScenarioEnsemble:
         for i, s in enumerate(self.scenarios):
             key = None if s.spec.link is Link.LOG else s.params
             grouped.setdefault(id(s.spec), {}).setdefault(key, []).append(i)
-        coords = initial_design.coords[None]
-        # Per model: the rows (a slice when adjacent, as model_ensemble orders
-        # them, because writing to a slice is cheaper than to an index array),
-        # the model, its parameters as arrays (``_Model``), the (S, 1, p+1,
-        # p+1) initial blocks from one call, and the classes.  _index keys
-        # the entries by spec identity (hashing a ModelSpec costs
+        # Per model (``_Model``) the whitening of the day-0 block under each
+        # distinct beta; the day-0 runs carry no day effect, so gamma does
+        # not enter it.  _row_class maps each row of the scores to its class
+        # in ``_score``'s order, and every score pads to one width.  _index
+        # keys the entries by spec identity (hashing a ModelSpec costs
         # microseconds); a repeat shares the first entry.
         self._table: list[_Entry] = [None] * len(self.scenarios)
         self._index: dict[tuple[int, ParamPoint], _Entry] = {}
         self._models: list[_Model] = []
+        self._row_class = np.empty(len(self.scenarios), dtype=int)
+        self._width = max(s.spec.p for s in self.scenarios)
+        full, first = [sorted(pair) for pair in _QUADRATIC.slots.T.tolist()], 0
         for shared in grouped.values():
-            r = sorted(i for members in shared.values() for i in members)
-            spec = self.scenarios[r[0]].spec
-            params = [self.scenarios[i].params for i in r]
-            beta = np.array([q.beta for q in params])
-            if (beta == beta[0]).all():
-                beta = beta[0]
-            gamma = np.array([q.gamma for q in params]).reshape(-1, 1, 1)
-            base, inside = augmented_info_entries(spec, beta, gamma[..., 0],
-                                                  coords, 0.0)
-            require_inside(spec, inside, "the initial design")
-            rows = slice(r[0], r[-1] + 1) if r[-1] - r[0] == len(r) - 1 else np.array(r)
             classes = tuple(map(tuple, shared.values()))
-            self._models.append(_Model(rows, spec, beta, gamma, base[:, None], classes))
-            for column, (i, q) in enumerate(zip(r, params)):
-                self._table[i] = self._index.setdefault(
-                    (id(spec), q), _Entry(i, self._models[-1], column))
+            spec = self.scenarios[classes[0][0]].spec
+            params = [self.scenarios[members[0]].params for members in classes]
+            log = spec.link is Link.LOG
+            betas = list(dict.fromkeys(q.beta for q in params))[: 1 if log else None]
+            whitened = [_whitening(spec, np.array(b), initial_design.coords)
+                        for b in betas]
+            columns = [full.index(sorted(pair)) for pair in spec.slots.T.tolist()]
+            model = _Model(
+                spec, np.array(columns), classes, np.array(betas)[..., None],
+                *map(np.array, zip(*whitened)),
+                np.array([0 if log else betas.index(q.beta) for q in params]),
+                np.array([q.gamma for q in params]),
+            )
+            self._models.append(model)
+            for column, members in enumerate(classes):
+                self._row_class[list(members)] = first + column
+                for i in members:
+                    self._table[i] = self._index.setdefault(
+                        (id(spec), self.scenarios[i].params),
+                        _Entry(i, model, column))
+            first += len(classes)
 
     def score(self, stack: np.ndarray) -> StackScores:
         """The D and D1 criteria of a (k, m, 4) stack of designs of new
-        day-1 runs under every scenario, scored model by model
-        (``_score_model``), as two (S, k) arrays."""
+        day-1 runs under every scenario, as two (S, k) arrays: every
+        information class of every model scored in one ``_score`` call."""
         if stack.ndim != 3 or stack.shape[-1] != 4:
             raise ValueError("a stack of designs must have shape (k, m, 4), "
                              f"got shape {stack.shape}")
-        values = np.empty((2, len(self.scenarios), len(stack)))
-        for rows, spec, beta, gamma, base, _ in self._models:
-            values[:, rows] = _score_model(spec, beta, gamma, base, stack[None])
-        return StackScores(*values)
+        values = _score(self._models, stack, self._width)
+        return StackScores(*values[:, self._row_class])
 
     def score_design(self, design: Design) -> StackScores:
         """The D and D1 criteria of one Design of new day-1 runs under every
@@ -189,8 +211,8 @@ class ScenarioEnsemble:
 
         The design is scored by ``score`` as a stack of one and kept with
         its scores until another Design is scored, so its per-scenario
-        efficiencies and averages cost one assembly and one Cholesky per
-        model.  A Design is immutable, so it is matched by identity.
+        efficiencies and averages cost one ``_score`` call.  A Design is
+        immutable, so it is matched by identity.
         """
         kept, scores = self._kept
         if design is not kept:
@@ -208,40 +230,89 @@ class ScenarioEnsemble:
             raise ValueError(f"optima of {len(d_opt)} and {len(d1_opt)} runs cannot "
                              f"be cached for an ensemble of m={self.m} new runs")
         entry = self._table[idx]
-        _, spec, beta, gamma, base, _ = entry.model
         stack = np.stack([_new_coords(d_opt), _new_coords(d1_opt)])
-        (vd, _), (vd1_at_d, vd1) = _score_model(spec, beta, gamma, base,
-                                                stack[None])[:, entry.column]
+        (vd, _), (vd1_at_d, vd1) = _score([entry.model], stack,
+                                          self._width)[:, entry.column]
         if vd <= 0 or vd1 <= 0 or vd1_at_d <= 0:
             raise DegenerateOptimumError("cached optimal values must be positive")
         entry.optima = (float(vd), float(vd1), float(vd1_at_d))
 
 
-def _score_model(spec: ModelSpec, beta: np.ndarray, gamma: np.ndarray,
-                 base: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """The D and D1 criteria of a (T, k, m, 4) stack of new day-1 runs under
-    the S parameter points of one model (``beta`` and ``gamma`` as in
-    ``augmented_info_entries``), given their (S, 1, p+1, p+1) initial blocks,
-    as a (2, S, k) array.  With T = 1 every point scores the k designs; with
-    T = S point j scores row j.
+def _whitening(spec: ModelSpec, beta: np.ndarray, coords: np.ndarray):
+    """L^{-T} and log det A of the day-0 information A = L L^T of the runs
+    ``coords`` under ``beta``, or ``ValueError`` naming the model."""
+    entries, inside = augmented_info_entries(spec, beta, 0.0, coords, 0.0)
+    require_inside(spec, inside, "the initial design")
+    chol = cholesky(entries[:-1, :-1])
+    if chol is None:
+        raise ValueError(f"the initial design's information under model {spec.name!r} "
+                         f"is singular: it cannot identify {spec.p} terms")
+    return np.linalg.inv(chol).T, factor_log_det(chol)
 
-    One assembly call and one ``cholesky`` call give both criteria.  A
-    singular matrix, or a design outside a point's link domain, scores 0
-    for that point only.
+
+def _score(models: list[_Model], stack: np.ndarray, width: int,
+           lanes: Optional[np.ndarray] = None) -> np.ndarray:
+    """The D and D1 criteria of a stack of designs of m new day-1 runs as a
+    (2, R, k) array.  Without ``lanes``, a (k, m, 4) stack is scored under
+    every information class of ``models`` in turn (R classes).  With
+    ``lanes``, the classes of one model's L lanes, an (L, k, m, 4) stack is
+    scored row by row, row j under class lanes[j] only (R = L).
+
+    The initial design holds only day-0 runs, with information A = L L^T.
+    With U the m whitened rows sqrt(w) L^{-1} z of a design under a class,
+    s their roots sqrt(w) and M = I + U U^T, the matrix determinant lemma and
+    the Schur complement of the day column give |I| = |A| |M| D1 and
+    D1 = s^T M^{-1} s.  The U of all models and classes, zero-padded to
+    ``width`` >= p columns, are eliminated together (``eliminate``); a
+    design's values depend on the width, not on the rest of the stack.  M
+    has no eigenvalue below 1, so a design scores 0 only where a predictor
+    lies outside its class's link domain.
     """
-    add, ok = augmented_info_entries(spec, beta, gamma, stack, 1.0)
-    add += base
-    n = add.shape[-1]
-    chol, factored = cholesky(add.reshape(-1, n, n))
-    ok = factored if ok is True else factored & ok.reshape(-1)
-    # With I = L L^T, D = |I|^(1/n) and, since (I^{-1})_nn = 1 / L_nn^2,
-    # D1 = L_nn^2.
-    values = np.empty((2, len(chol)))
-    np.exp(factor_log_det(chol) / n, out=values[0])
-    np.square(chol[:, -1, -1], out=values[1])
-    if not ok.all():
-        values[:, ~ok] = 0.0
-    return values.reshape(2, len(gamma), stack.shape[1])
+    k, m = stack.shape[-3:-1]
+    rows = sum(len(model.key) if lanes is None else len(lanes) for model in models)
+    if m == 0:
+        return np.zeros((2, rows, k))
+    u, s = np.zeros((m, rows, k, width)), np.ones((m, rows, k))
+    offset, power = np.empty((2, rows, 1))
+    masks, first = [], 0
+    quadratic = regressor_matrix(_QUADRATIC, stack.reshape(-1, 4))
+    for spec, columns, _, beta, whiten, log_det, key, gamma in models:
+        # The T = 1 form whitens under each key, then each class reads its
+        # key's rows; each lane gathers its own key first.
+        gather = key
+        if lanes is not None:
+            key, gamma = key[lanes], gamma[lanes]
+            beta, whiten, gather = beta[key], whiten[key], slice(None)
+        own = slice(first, first + len(key))
+        first = own.stop
+        Z = quadratic.take(columns, axis=1).reshape(*stack.shape[:-3], k * m, spec.p)
+        W = Z @ whiten
+        W = W.reshape(len(W), k, m, spec.p)[gather]
+        U = u[:, own, :, : spec.p].transpose(1, 2, 0, 3)
+        if spec.link is Link.LOG:
+            U[...] = W
+        else:
+            # One matrix-vector product per key, as fisher_info takes it: a
+            # product with all keys at once rounds differently, and the last
+            # bit of a predictor near 0 visibly moves its weight 1/eta^2.
+            eta = Z @ beta
+            eta = eta.reshape(len(eta), k, m)[gather] + gamma[:, None, None]
+            outside = spec.link.outside_domain(eta)
+            if outside.any():
+                eta = np.where(outside, 1.0, eta)
+                masks.append((own, outside.any(axis=-1)))
+            root = s[:, own].transpose(1, 2, 0)
+            np.sqrt(spec.link.weight(eta), out=root)
+            np.multiply(W, root[..., None], out=U)
+        offset[own, 0], power[own] = log_det[key], 1.0 / (spec.p + 1)
+    log_det_m, quad = eliminate(u.reshape(m, -1, width), s.reshape(m, -1))
+    values = np.empty((2, rows, k))
+    values[1] = quad.reshape(rows, k)
+    log_det_i = log_det_m.reshape(rows, k) + np.log(values[1]) + offset
+    np.exp(log_det_i * power, out=values[0])
+    for own, outside in masks:
+        values[:, own][:, outside] = 0.0
+    return values
 
 
 def _new_coords(design: Design) -> np.ndarray:

@@ -231,9 +231,9 @@ def _starting_point(link: Link, Z: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _solve_information(info: np.ndarray, b: np.ndarray) -> np.ndarray:
     """info^{-1} b by two solves, with the information's Cholesky factor and
-    its transpose; the factor must pass the criteria's singularity rule."""
-    (chol,), (ok,) = cholesky(info[None])
-    if not ok:
+    its transpose; the factor must pass the SINGULAR_TOL rule."""
+    chol = cholesky(info)
+    if chol is None:
         raise RankDeficientError("expected information is singular")
     return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
 
@@ -392,8 +392,8 @@ def observed_efficiency(fit_a: FittedModel, fit_b: FittedModel) -> float:
         raise ValueError("fits must share the same model")
     if (fit_a.gamma_hat is None) != (fit_b.gamma_hat is None):
         raise ValueError("fits must share the day-effect structure")
-    chol, ok = cholesky(np.stack([fit_a.covariance, fit_b.covariance]))
-    if not ok.all():
+    chol = [cholesky(fit.covariance) for fit in (fit_a, fit_b)]
+    if any(c is None for c in chol):
         raise RankDeficientError("covariance matrix is not positive definite")
-    ld_a, ld_b = factor_log_det(chol)
+    ld_a, ld_b = map(factor_log_det, chol)
     return float(math.exp((ld_b - ld_a) / fit_a.covariance.shape[0]))

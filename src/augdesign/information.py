@@ -143,45 +143,20 @@ def read_csv(
 def augmented_info_entries(
     spec: ModelSpec,
     beta: np.ndarray,
-    gamma: np.ndarray,
+    gamma: float,
     coords: np.ndarray,
     days,
 ):
-    """Raw (p+1)x(p+1) information entries of S parameter points of one model
-    for given coordinates and day flags.
-
-    ``beta`` is one (p,) vector shared by every point or an (S, p) array of
-    one row per point, and ``gamma`` the points' day effects as an (S, 1, ...)
-    column that broadcasts against the predictors.  A (T, ..., n, 4) array
-    of coordinates with (T, ..., n) day flags, or one flag for every run,
-    gives the (S, ..., p+1, p+1) stack with an (S, ...) mask of the matrices
-    whose predictors all lie in the link domain, or True when all of them
-    do.  The leading axis has length T = 1, whose runs are assembled under
-    every parameter point, or T = S, whose row j is assembled under point j
-    only.  The weighting and the mask are ``weighted_gram``'s.
-    """
-    if len(coords) not in (1, len(gamma)):
-        raise ValueError(f"{len(coords)} rows of coordinates for "
-                         f"{len(gamma)} parameter points; give 1 or one each")
-    shape, p = coords.shape[:-1], spec.p
-    Z = regressor_matrix(spec, coords.reshape(-1, len(GLOBAL_FACTORS)))
-    Z = Z.reshape(*shape, p)
-    Zs = np.empty((*shape, p + 1))
-    Zs[..., :p] = Z
-    Zs[..., p] = days
-    # One matrix-vector product per distinct beta and row, on the C-ordered
-    # Z, not one Z·B product over all of them: that rounds differently, and
-    # a predictor near 0 turns its last bit into a visible change of the
-    # 1/eta^2 weight.  Scenarios that differ only in gamma, as a day-effect
-    # prior gives, share one product without stacking copies of it.
-    if beta.ndim == 1:
-        zb = Z @ beta
-    elif len(Z) == 1:
-        distinct, which = np.unique(beta, axis=0, return_inverse=True)
-        zb = np.stack([Z[0] @ b for b in distinct])[which.reshape(-1)]
-    else:
-        zb = np.stack([z @ b for z, b in zip(Z, beta)])
-    return weighted_gram(spec.link, Zs, zb + days * gamma)
+    """Raw (p+1)x(p+1) information entries of one parameter point of a model,
+    its (p,) ``beta`` and day effect ``gamma``, for (n, 4) coordinates with
+    (n,) day flags, or one flag for every run, with the domain mask of
+    ``weighted_gram``: whether all predictors lie in the link domain."""
+    p = spec.p
+    Z = regressor_matrix(spec, coords)
+    Zs = np.empty((len(Z), p + 1))
+    Zs[:, :p] = Z
+    Zs[:, p] = days
+    return weighted_gram(spec.link, Zs, Z @ beta + days * gamma)
 
 
 def weighted_gram(link: Link, Z: np.ndarray, eta: np.ndarray):
@@ -235,9 +210,8 @@ def fisher_info(
         # All-zero day flags leave the p x p block equal to the plain
         # information.
         params, days = ParamPoint(params.beta, 0.0), np.zeros(len(design))
-    (entries,), inside = augmented_info_entries(
-        spec, np.asarray(params.beta), np.array([[params.gamma]]),
-        design.coords[None], days[None],
+    entries, inside = augmented_info_entries(
+        spec, np.asarray(params.beta), params.gamma, design.coords, days,
     )
     require_inside(spec, inside, what)
     return entries if with_day_effect else entries[:-1, :-1]
@@ -253,27 +227,41 @@ def _nonsingular(a: np.ndarray, chol: np.ndarray):
 
 
 def cholesky(a: np.ndarray):
-    """Lower Cholesky factors of a (k, n, n) stack, with the length-k mask of
-    the nonsingular ones: those that factor and pass the SINGULAR_TOL test.
-
-    numpy rejects a stack as a whole: it raises ``LinAlgError`` when any
-    matrix in it is not positive definite.  The stack is then factored one
-    matrix at a time, and a matrix that does not factor gets the identity
-    and False.
-    """
+    """Lower Cholesky factor of one (n, n) matrix, or None when it is
+    singular: when numpy does not factor it or it fails the SINGULAR_TOL
+    test."""
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        chol, factored = np.empty_like(a), np.ones(len(a), dtype=bool)
-        for i, one in enumerate(a):
-            try:
-                chol[i] = np.linalg.cholesky(one)
-            except np.linalg.LinAlgError:
-                chol[i], factored[i] = np.eye(len(one)), False
-        return chol, factored & _nonsingular(a, chol)
-    return chol, _nonsingular(a, chol)
+        return None
+    return chol if _nonsingular(a, chol) else None
 
 
 def factor_log_det(chol: np.ndarray):
     """log det(L L^T) = 2 sum log diag L, over the last two axes of ``chol``."""
     return 2.0 * np.log(chol.diagonal(0, -2, -1)).sum(-1)
+
+
+def eliminate(u: np.ndarray, s: np.ndarray):
+    """log det M and s^T M^{-1} s, M = I + U U^T, of an (m, N, q) stack of
+    N matrices U of m rows, row i at u[i], and (m, N) vectors s: an LDL^T
+    elimination of M over the stack, m steps of a few ufuncs each.  It works
+    on U, not on M: the pivot of row j is 1 + |u_j|^2, and the rows below
+    lose the share of u_j that makes I + U U^T of them the Schur complement,
+    so the identity is never added to a large entry and lost.  Every dot
+    product runs over the last axis, so a matrix's values do not depend on
+    the rest of the stack.  Overwrites ``u`` and ``s``."""
+    m = len(u)
+    pivots = np.empty(s.shape)
+    for j in range(m):
+        # Row j's squared norm and its dot products with the rows below.
+        dots = np.einsum("inq,nq->in", u[j:], u[j])
+        pivot = np.add(dots[0], 1.0, out=pivots[j])
+        if j + 1 < m:
+            # (1 + c) + sqrt(1 + c) for c = |u_j|^2, without cancellation.
+            share = dots[1:] / (pivot + np.sqrt(pivot))
+            u[j + 1:] -= share[..., None] * u[j]
+            s[j + 1:] -= dots[1:] * (s[j] / pivot)
+    s *= s
+    s /= pivots
+    return np.log(pivots).sum(0), s.sum(0)

@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .criteria import Scenario, ScenarioEnsemble, _score_model, phi_compromise
+from .criteria import Scenario, ScenarioEnsemble, _score, phi_compromise
 from .data import PUBLISHED_DESIGNS
 from .glm import COORD_MAX, COORD_MIN, GLOBAL_FACTORS as COORD_NAMES
 from .information import Design
@@ -219,11 +219,11 @@ def solve_local(
     flavour) search, found in lockstep (``pso_lockstep``).
 
     All scenarios belong to one model.  Each iteration scores the swarms of
-    the live lanes in one call of the model's kernel (``_score_model``):
-    each lane's designs under its own search's scenario only.  Only the
-    model's active factors are searched; the inactive coordinates of the
-    returned designs are 0 (they do not enter the criterion).  Each result
-    equals that of the search alone.
+    the live lanes in one call of the scoring kernel (``criteria._score``):
+    each lane's designs under its own search's information class only.
+    Only the model's active factors are searched; the inactive coordinates
+    of the returned designs are 0 (they do not enter the criterion).  Each
+    result equals that of the search alone.
     """
     if not searches:
         raise ValueError("solve_local needs at least one search")
@@ -237,14 +237,13 @@ def solve_local(
     # Built on one spec object, so the ensemble holds one model.
     ensemble = ScenarioEnsemble([Scenario(spec, s.params) for s, _ in searches],
                                 initial_design, m)
-    ((_, _, beta, gamma, base, _),) = ensemble._models
+    models = ensemble._models
+    column = np.array([entry.column for entry in ensemble._table])
     indices = spec.global_indices
     d_rows = np.array([[flavor == "D"] for _, flavor in searches])
 
     def objective(stack: np.ndarray, search_of: np.ndarray) -> np.ndarray:
-        lane_beta = beta if beta.ndim == 1 else beta[search_of]
-        scores = _score_model(spec, lane_beta, gamma[search_of], base[search_of],
-                              stack)
+        scores = _score(models, stack, ensemble._width, column[search_of])
         return np.where(d_rows[search_of], *scores)
 
     seeds = _published_seeds(m, indices)
@@ -259,7 +258,8 @@ def build_cache(ensemble: ScenarioEnsemble, config: PsoConfig) -> ScenarioEnsemb
     searches, and the D and D1 searches of one model run in one
     ``solve_local`` call.
     """
-    for *_, classes in ensemble._models:
+    for model in ensemble._models:
+        classes = model.classes
         searches = [(ensemble.scenarios[members[0]], flavor)
                     for members in classes for flavor in ("D", "D1")]
         # The results come in (D, D1) pairs, one pair per class.

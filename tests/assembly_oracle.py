@@ -1,13 +1,13 @@
-"""The scoring kernel as it was before it took its parameters as arrays.
+"""The scoring kernel as it was before it whitened the day-0 information.
 
-``criteria._score_model`` scores a stack from per-model parameter arrays
-built once by the ensemble, gathers each term's regressor slots in one
-indexing call, writes the day column into one buffer and zeroes masked
-entries in place.  The tests require its values to equal, bit for bit,
-those of the functions below, which take a sequence of ``ParamPoint``s,
-rebuild the parameter arrays on every call, take each slot by its own
-``take`` and concatenate the day column.  ``cholesky`` is the package's:
-its contract is unchanged.
+It assembles each scenario's (p+1) x (p+1) information of the initial
+design plus a stack of new day-1 runs and factors every matrix by LAPACK's
+Cholesky under the ``SINGULAR_TOL`` test, one matrix at a time when numpy
+rejects a stack: a singular or infeasible matrix scores 0.
+``criteria._score`` instead eliminates each design's m x m matrix
+I + U U^T of whitened runs, and scores 0 only outside the link domain.  The
+tests require the two to agree to 1e-12 relative where this kernel scores a
+design, and let the extended-precision oracle decide where it does not.
 """
 
 from typing import Sequence
@@ -15,7 +15,24 @@ from typing import Sequence
 import numpy as np
 
 from augdesign.glm import GLOBAL_FACTORS, Link, ModelSpec, ParamPoint
-from augdesign.information import cholesky, factor_log_det
+from augdesign.information import _nonsingular, factor_log_det
+
+
+def cholesky(a: np.ndarray):
+    """Lower Cholesky factors of a (k, n, n) stack, with the length-k mask of
+    the nonsingular ones; when numpy rejects the stack, each matrix is
+    factored alone, and one that does not factor gets the identity."""
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        chol, factored = np.empty_like(a), np.ones(len(a), dtype=bool)
+        for i, one in enumerate(a):
+            try:
+                chol[i] = np.linalg.cholesky(one)
+            except np.linalg.LinAlgError:
+                chol[i], factored[i] = np.eye(len(one)), False
+        return chol, factored & _nonsingular(a, chol)
+    return chol, _nonsingular(a, chol)
 
 
 def regressor_matrix(spec: ModelSpec, coords: np.ndarray) -> np.ndarray:

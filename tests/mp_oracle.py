@@ -53,3 +53,14 @@ def mp_info(spec, params, design):
             for j in range(dim):
                 total[i, j] += w * z[i] * z[j]
     return total
+
+
+def mp_criteria(spec, params, design, dps=60):
+    """The D criterion |I|^(1/(p+1)) and the D1 criterion 1 / (I^{-1})_nn of
+    a design's day-effect information, as floats from ``dps``-digit
+    arithmetic."""
+    with mpmath.workdps(dps):
+        info = mp_info(spec, params, design)
+        det = mpmath.det(info)
+        d1 = 1 / mpmath.inverse(info)[info.rows - 1, info.cols - 1]
+        return float(det ** (mpmath.mpf(1) / info.rows)), float(d1)

@@ -58,9 +58,8 @@ def inv_quadratic_form(a: np.ndarray) -> float:
 def _entries(scenario, coords, days):
     """One scenario's information entries, or None outside the link domain."""
     q = scenario.params
-    (entries,), inside = augmented_info_entries(
-        scenario.spec, np.asarray(q.beta), np.array([[q.gamma]]), coords[None],
-        days[None],
+    entries, inside = augmented_info_entries(
+        scenario.spec, np.asarray(q.beta), q.gamma, coords, days,
     )
     return entries if np.all(inside) else None
 

@@ -102,10 +102,10 @@ def test_nan_matrix_is_singular():
     assert log_det(info) == MINUS_INF
     assert inv_quadratic_form(info) == 0.0
     assert reference_cholesky(info) is None
-    assert cholesky(info[None])[1].tolist() == [False]
+    assert cholesky(info) is None
 
 
-def test_stacked_cholesky_matches_one_matrix_at_a_time():
+def test_cholesky_rejects_a_tiny_pivot_and_a_nan():
     spec, params = data.MODELS["flame_width"], data.ESTIMATES["flame_width"]
     full = fisher_info(spec, params, full_design())
     # Positive definite, but its last pivot is below the SINGULAR_TOL test.
@@ -114,14 +114,10 @@ def test_stacked_cholesky_matches_one_matrix_at_a_time():
     tiny_pivot = full * np.outer(scaled, scaled)
     nan = full.copy()
     nan[0, 0] = np.nan
-    stack = np.stack([full, tiny_pivot, nan, 2.0 * full])
-    chol, ok = cholesky(stack)
-    assert ok.tolist() == [True, False, False, True]
-    for a, factor, good in zip(stack, chol, ok):
-        if good:
-            assert np.array_equal(factor, reference_cholesky(a))
-        else:
-            assert reference_cholesky(a) is None
+    factors = [cholesky(a) for a in (full, tiny_pivot, nan, 2.0 * full)]
+    assert [f is not None for f in factors] == [True, False, False, True]
+    assert np.array_equal(factors[0], np.linalg.cholesky(full))
+    assert np.array_equal(factors[3], np.linalg.cholesky(2.0 * full))
 
 
 def reference_nonsingular(a, chol):
@@ -156,18 +152,14 @@ def test_singularity_mask_matches_its_formula(pair):
         assert _nonsingular(one, factor) == reference_nonsingular(one, factor)
 
 
-def test_stacked_cholesky_masks_only_an_indefinite_matrix():
+def test_cholesky_rejects_an_indefinite_matrix():
     full = fisher_info(
         data.MODELS["flame_width"], data.ESTIMATES["flame_width"], full_design()
     )
-    stack = np.stack([full, -full, 2.0 * full])
-    # numpy rejects the stack as a whole; cholesky masks the one matrix.
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(stack)
-    chol, ok = cholesky(stack)
-    assert ok.tolist() == [True, False, True]
-    assert np.array_equal(chol[[0, 2]], np.linalg.cholesky(stack[[0, 2]]))
-    assert np.array_equal(chol[1], np.eye(len(full)))
+        np.linalg.cholesky(-full)
+    assert cholesky(-full) is None
+    assert np.array_equal(cholesky(full), np.linalg.cholesky(full))
 
 
 MATRIX_KINDS = (
@@ -211,14 +203,12 @@ mixed_stacks = st.integers(1, 6).flatmap(
 @given(items=mixed_stacks)
 @example(items=[(np.eye(3), kind) for kind in MATRIX_KINDS[:3]])
 @example(items=[(np.eye(3), kind) for kind in MATRIX_KINDS])
-def test_stacked_cholesky_matches_the_single_matrix_reference(items):
-    stack = np.stack([matrix_of_kind(x, kind) for x, kind in items])
-    chol, ok = cholesky(stack)
-    assert chol.shape == stack.shape and ok.shape == (len(stack),)
-    for a, factor, good in zip(stack, chol, ok):
-        reference = reference_cholesky(a)
-        assert good == (reference is not None)
-        if good:
+def test_cholesky_matches_the_single_matrix_reference(items):
+    for x, kind in items:
+        a = matrix_of_kind(x, kind)
+        factor, reference = cholesky(a), reference_cholesky(a)
+        assert (factor is None) == (reference is None)
+        if factor is not None:
             assert np.array_equal(factor, reference)
 
 
