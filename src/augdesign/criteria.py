@@ -13,14 +13,7 @@ import numpy as np
 from .glm import (
     GLOBAL_FACTORS, Link, ModelSpec, ParamPoint, Term, is_number, regressor_matrix,
 )
-from .information import (
-    Design,
-    augmented_info_entries,
-    cholesky,
-    eliminate,
-    factor_log_det,
-    require_inside,
-)
+from .information import Design, cholesky, eliminate, factor_log_det, fisher_info
 
 
 class StackScores(NamedTuple):
@@ -95,19 +88,18 @@ _QUADRATIC = ModelSpec("full quadratic", Link.LOG, GLOBAL_FACTORS, (
 
 
 class _Model(NamedTuple):
-    """One model's share of an ensemble: the model, its columns of the full
-    quadratic and its information classes (the rows of each).  Per key, a
-    distinct beta (one under a log link, whose weights are all 1): beta,
-    L^{-T} of the day-0 information A = L L^T and log det A, as (K, p, 1),
-    (K, p, p) and (K,) arrays.  Per class: its key and its day effect."""
+    """One model and beta's share of an ensemble (under a log link, whose
+    weights are all 1, the model's whole share): the model, its columns of
+    the full quadratic, its information classes (the rows of each), beta as
+    a (p, 1) column, L^{-T} of the day-0 information A = L L^T, log det A
+    and the (C,) day effects of the classes."""
 
     spec: ModelSpec
     columns: np.ndarray
     classes: tuple
     beta: np.ndarray
     whiten: np.ndarray
-    log_det: np.ndarray
-    key: np.ndarray
+    log_det: float
     gamma: np.ndarray
 
 
@@ -126,8 +118,9 @@ class _Entry:
 class ScenarioEnsemble:
     """Weighted finite scenario set sharing one fixed initial design.
 
-    Whitens each model's day-0 information once, so that scoring a
-    candidate set of m new runs factors only an m x m matrix (``_score``).
+    Whitens each model's day-0 information once per beta (once under a log
+    link), so that scoring a candidate set of m new runs factors only an
+    m x m matrix (``_score``).
     """
 
     def __init__(self, scenarios: list[Scenario], initial_design: Design, m: int):
@@ -152,19 +145,22 @@ class ScenarioEnsemble:
         # The last Design scored by ``score_design`` and its scores; until
         # then a fresh object, which no argument can be, stands in.
         self._kept: tuple = (object(), None)
-        # Per model, the rows of each information class: all of them under a
-        # log link, whose weight is 1 whatever beta and gamma are, otherwise
-        # the rows of equal parameters.
-        grouped: dict[int, dict[Optional[ParamPoint], list[int]]] = {}
+        # Per model and beta, the rows of each information class: under a
+        # log link, whose weight is 1 whatever beta and gamma are, all of
+        # the model's rows form one group and one class; otherwise the rows
+        # of each gamma form a class.
+        grouped: dict[tuple, dict[Optional[float], list[int]]] = {}
         for i, s in enumerate(self.scenarios):
-            key = None if s.spec.link is Link.LOG else s.params
-            grouped.setdefault(id(s.spec), {}).setdefault(key, []).append(i)
-        # Per model (``_Model``) the whitening of the day-0 block under each
-        # distinct beta; the day-0 runs carry no day effect, so gamma does
-        # not enter it.  _row_class maps each row of the scores to its class
-        # in ``_score``'s order, and every score pads to one width.  _index
-        # keys the entries by spec identity (hashing a ModelSpec costs
-        # microseconds); a repeat shares the first entry.
+            log = s.spec.link is Link.LOG
+            group = (id(s.spec),) if log else (id(s.spec), s.params.beta)
+            grouped.setdefault(group, {}).setdefault(
+                None if log else s.params.gamma, []).append(i)
+        # Per group (``_Model``) the whitening of the day-0 block; the day-0
+        # runs carry no day effect, so gamma does not enter it.  _row_class
+        # maps each row of the scores to its class in ``_score``'s order,
+        # and every score pads to one width.  _index keys the entries by
+        # spec identity (hashing a ModelSpec costs microseconds); a repeat
+        # shares the first entry.
         self._table: list[_Entry] = [None] * len(self.scenarios)
         self._index: dict[tuple[int, ParamPoint], _Entry] = {}
         self._models: list[_Model] = []
@@ -173,18 +169,14 @@ class ScenarioEnsemble:
         full, first = [sorted(pair) for pair in _QUADRATIC.slots.T.tolist()], 0
         for shared in grouped.values():
             classes = tuple(map(tuple, shared.values()))
-            spec = self.scenarios[classes[0][0]].spec
-            params = [self.scenarios[members[0]].params for members in classes]
-            log = spec.link is Link.LOG
-            betas = list(dict.fromkeys(q.beta for q in params))[: 1 if log else None]
-            whitened = [_whitening(spec, np.array(b), initial_design.coords)
-                        for b in betas]
+            lead = self.scenarios[classes[0][0]]
+            spec, beta = lead.spec, lead.params.beta
             columns = [full.index(sorted(pair)) for pair in spec.slots.T.tolist()]
             model = _Model(
-                spec, np.array(columns), classes, np.array(betas)[..., None],
-                *map(np.array, zip(*whitened)),
-                np.array([0 if log else betas.index(q.beta) for q in params]),
-                np.array([q.gamma for q in params]),
+                spec, np.array(columns), classes, np.array(beta)[:, None],
+                *_whitening(spec, beta, initial_design),
+                np.array([self.scenarios[members[0]].params.gamma
+                          for members in classes]),
             )
             self._models.append(model)
             for column, members in enumerate(classes):
@@ -238,12 +230,11 @@ class ScenarioEnsemble:
         entry.optima = (float(vd), float(vd1), float(vd1_at_d))
 
 
-def _whitening(spec: ModelSpec, beta: np.ndarray, coords: np.ndarray):
-    """L^{-T} and log det A of the day-0 information A = L L^T of the runs
-    ``coords`` under ``beta``, or ``ValueError`` naming the model."""
-    entries, inside = augmented_info_entries(spec, beta, 0.0, coords, 0.0)
-    require_inside(spec, inside, "the initial design")
-    chol = cholesky(entries[:-1, :-1])
+def _whitening(spec: ModelSpec, beta: tuple, initial_design: Design):
+    """L^{-T} and log det A of the day-0 information A = L L^T of the
+    initial design under ``beta``, or ``ValueError`` naming the model."""
+    chol = cholesky(fisher_info(spec, ParamPoint(beta), initial_design,
+                                with_day_effect=False, what="the initial design"))
     if chol is None:
         raise ValueError(f"the initial design's information under model {spec.name!r} "
                          f"is singular: it cannot identify {spec.p} terms")
@@ -255,7 +246,7 @@ def _score(models: list[_Model], stack: np.ndarray, width: int,
     """The D and D1 criteria of a stack of designs of m new day-1 runs as a
     (2, R, k) array.  Without ``lanes``, a (k, m, 4) stack is scored under
     every information class of ``models`` in turn (R classes).  With
-    ``lanes``, the classes of one model's L lanes, an (L, k, m, 4) stack is
+    ``lanes``, the classes of one group's L lanes, an (L, k, m, 4) stack is
     scored row by row, row j under class lanes[j] only (R = L).
 
     The initial design holds only day-0 runs, with information A = L L^T.
@@ -269,34 +260,27 @@ def _score(models: list[_Model], stack: np.ndarray, width: int,
     lies outside its class's link domain.
     """
     k, m = stack.shape[-3:-1]
-    rows = sum(len(model.key) if lanes is None else len(lanes) for model in models)
+    rows = sum(len(model.gamma) if lanes is None else len(lanes) for model in models)
     if m == 0:
         return np.zeros((2, rows, k))
     u, s = np.zeros((m, rows, k, width)), np.ones((m, rows, k))
     offset, power = np.empty((2, rows, 1))
     masks, first = [], 0
     quadratic = regressor_matrix(_QUADRATIC, stack.reshape(-1, 4))
-    for spec, columns, _, beta, whiten, log_det, key, gamma in models:
-        # The T = 1 form whitens under each key, then each class reads its
-        # key's rows; each lane gathers its own key first.
-        gather = key
+    for spec, columns, _, beta, whiten, log_det, gamma in models:
         if lanes is not None:
-            key, gamma = key[lanes], gamma[lanes]
-            beta, whiten, gather = beta[key], whiten[key], slice(None)
-        own = slice(first, first + len(key))
+            gamma = gamma[lanes]
+        own = slice(first, first + len(gamma))
         first = own.stop
+        # Without lanes, every class reads the one (k, m) block of W and eta.
         Z = quadratic.take(columns, axis=1).reshape(*stack.shape[:-3], k * m, spec.p)
-        W = Z @ whiten
-        W = W.reshape(len(W), k, m, spec.p)[gather]
+        W = (Z @ whiten).reshape(*stack.shape[:-1], spec.p)
         U = u[:, own, :, : spec.p].transpose(1, 2, 0, 3)
         if spec.link is Link.LOG:
             U[...] = W
         else:
-            # One matrix-vector product per key, as fisher_info takes it: a
-            # product with all keys at once rounds differently, and the last
-            # bit of a predictor near 0 visibly moves its weight 1/eta^2.
-            eta = Z @ beta
-            eta = eta.reshape(len(eta), k, m)[gather] + gamma[:, None, None]
+            # One matrix-vector product with beta, as fisher_info takes it.
+            eta = (Z @ beta).reshape(stack.shape[:-1]) + gamma[:, None, None]
             outside = spec.link.outside_domain(eta)
             if outside.any():
                 eta = np.where(outside, 1.0, eta)
@@ -304,7 +288,7 @@ def _score(models: list[_Model], stack: np.ndarray, width: int,
             root = s[:, own].transpose(1, 2, 0)
             np.sqrt(spec.link.weight(eta), out=root)
             np.multiply(W, root[..., None], out=U)
-        offset[own, 0], power[own] = log_det[key], 1.0 / (spec.p + 1)
+        offset[own, 0], power[own] = log_det, 1.0 / (spec.p + 1)
     log_det_m, quad = eliminate(u.reshape(m, -1, width), s.reshape(m, -1))
     values = np.empty((2, rows, k))
     values[1] = quad.reshape(rows, k)

@@ -21,8 +21,9 @@ from .glm import (
 )
 
 #: Relative pivot threshold below which a symmetric factorization is
-#: treated as singular.  Separates structurally deficient designs from
-#: mere ill-conditioning at the box corners.
+#: treated as singular.  It guards the information that ``fit`` solves
+#: with, the covariances of ``observed_efficiency`` and the ensemble's
+#: day-0 blocks; scoring a design factors no matrix.
 SINGULAR_TOL = 1e-12
 
 
@@ -140,41 +141,17 @@ def read_csv(
     return design.coords, design.days, columns
 
 
-def augmented_info_entries(
-    spec: ModelSpec,
-    beta: np.ndarray,
-    gamma: float,
-    coords: np.ndarray,
-    days,
-):
-    """Raw (p+1)x(p+1) information entries of one parameter point of a model,
-    its (p,) ``beta`` and day effect ``gamma``, for (n, 4) coordinates with
-    (n,) day flags, or one flag for every run, with the domain mask of
-    ``weighted_gram``: whether all predictors lie in the link domain."""
-    p = spec.p
-    Z = regressor_matrix(spec, coords)
-    Zs = np.empty((len(Z), p + 1))
-    Zs[:, :p] = Z
-    Zs[:, p] = days
-    return weighted_gram(spec.link, Zs, Z @ beta + days * gamma)
-
-
 def weighted_gram(link: Link, Z: np.ndarray, eta: np.ndarray):
-    """Z^T W Z over the last two axes of (..., n, q) regressors, with W the
-    link weights of their (..., n) predictors, and the (...) mask of the
-    matrices whose predictors all lie in the link domain, or True when all
-    of them do.  A predictor outside the domain is weighted at the
-    placeholder 1, so a masked matrix is finite but means nothing.
-    """
+    """Z^T W Z of (n, q) regressors, with W the link weights of their (n,)
+    predictors, and whether every predictor lies in the link domain.  A
+    predictor outside the domain is weighted at the placeholder 1, so the
+    matrix is then finite but means nothing."""
     outside = link.outside_domain(eta)
-    inside = True
-    # Building the per-matrix mask costs more than the weights, so only a
-    # stack that holds an outside predictor pays for it.
-    if outside.any():
+    inside = not outside.any()
+    if not inside:
         eta = np.where(outside, 1.0, eta)
-        inside = ~outside.any(axis=-1)
     w = link.weight(eta)
-    return (Z * w[..., None]).swapaxes(-1, -2) @ Z, inside
+    return (Z * w[:, None]).T @ Z, inside
 
 
 def require_inside(spec: ModelSpec, inside, what: str) -> None:
@@ -205,14 +182,17 @@ def fisher_info(
     if with_day_effect:
         if params.gamma is None:
             raise MissingGammaError("day-effect information requires gamma")
-        days = design.days
+        days, gamma = design.days, params.gamma
     else:
         # All-zero day flags leave the p x p block equal to the plain
         # information.
-        params, days = ParamPoint(params.beta, 0.0), np.zeros(len(design))
-    entries, inside = augmented_info_entries(
-        spec, np.asarray(params.beta), params.gamma, design.coords, days,
-    )
+        days, gamma = np.zeros(len(design)), 0.0
+    Z = regressor_matrix(spec, design.coords)
+    Zs = np.empty((len(Z), spec.p + 1))
+    Zs[:, :-1] = Z
+    Zs[:, -1] = days
+    eta = Z @ np.asarray(params.beta) + days * gamma
+    entries, inside = weighted_gram(spec.link, Zs, eta)
     require_inside(spec, inside, what)
     return entries if with_day_effect else entries[:-1, :-1]
 

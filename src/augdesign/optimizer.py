@@ -218,9 +218,10 @@ def solve_local(
     """Locally D- or D1-optimal m-run augmentations, one per (scenario,
     flavour) search, found in lockstep (``pso_lockstep``).
 
-    All scenarios belong to one model.  Each iteration scores the swarms of
-    the live lanes in one call of the scoring kernel (``criteria._score``):
-    each lane's designs under its own search's information class only.
+    All scenarios belong to one model and, unless its link is log, share
+    one beta.  Each iteration scores the swarms of the live lanes in one
+    call of the scoring kernel (``criteria._score``): each lane's designs
+    under its own search's information class only.
     Only the model's active factors are searched; the inactive coordinates
     of the returned designs are 0 (they do not enter the criterion).  Each
     result equals that of the search alone.
@@ -238,6 +239,9 @@ def solve_local(
     ensemble = ScenarioEnsemble([Scenario(spec, s.params) for s, _ in searches],
                                 initial_design, m)
     models = ensemble._models
+    if len(models) > 1:
+        raise ValueError(f"the searches of one solve_local call share one beta of "
+                         f"model {spec.name!r}")
     column = np.array([entry.column for entry in ensemble._table])
     indices = spec.global_indices
     d_rows = np.array([[flavor == "D"] for _, flavor in searches])
@@ -255,7 +259,7 @@ def build_cache(ensemble: ScenarioEnsemble, config: PsoConfig) -> ScenarioEnsemb
     local searches for every scenario.  Returns the same ensemble.
 
     The scenarios of one information class of the ensemble share their
-    searches, and the D and D1 searches of one model run in one
+    searches, and the D and D1 searches of one model and beta run in one
     ``solve_local`` call.
     """
     for model in ensemble._models:

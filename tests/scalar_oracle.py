@@ -1,26 +1,21 @@
 """The scalar criteria: one scenario and one design at a time.
 
 The stacked path (``ScenarioEnsemble.score``) is checked against these
-functions.  Each assembles one scenario's information by calling
-``augmented_info_entries`` with one parameter point and factors
-it by ``cholesky`` below, under the same ``SINGULAR_TOL`` rule, so a
-singular or infeasible design gives the same zeros.
+functions.  Each assembles one scenario's information with the reference
+assembly, ``assembly_oracle.augmented_info_entries``, at one parameter
+point, and factors it by ``cholesky`` below under the ``SINGULAR_TOL``
+rule: a singular or infeasible design scores 0.
 
 ``cholesky`` here is the single-matrix reference: one ``np.linalg.cholesky``
 call on one matrix, None when it is singular.  The package's
-``information.cholesky`` takes only a (k, n, n) stack and always returns
-factors and a mask; the tests compare it against this function matrix by
-matrix.
+``information.cholesky`` follows the same contract; the tests compare the
+two matrix by matrix.
 """
 
 import numpy as np
 
-from augdesign.information import (
-    Design,
-    _nonsingular,
-    augmented_info_entries,
-    factor_log_det,
-)
+import assembly_oracle
+from augdesign.information import Design, _nonsingular, factor_log_det
 
 MINUS_INF = float("-inf")
 
@@ -57,11 +52,9 @@ def inv_quadratic_form(a: np.ndarray) -> float:
 
 def _entries(scenario, coords, days):
     """One scenario's information entries, or None outside the link domain."""
-    q = scenario.params
-    entries, inside = augmented_info_entries(
-        scenario.spec, np.asarray(q.beta), q.gamma, coords, days,
-    )
-    return entries if np.all(inside) else None
+    entries, inside = assembly_oracle.augmented_info_entries(
+        scenario.spec, (scenario.params,), coords[None], days[None])
+    return entries[0] if np.all(inside) else None
 
 
 def augmented_entries(scenario, new_runs, initial_design):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import re
 
@@ -10,8 +11,10 @@ from augdesign import (
     Design,
     MissingCacheError,
     ParamPoint,
+    PsoConfig,
     Scenario,
     ScenarioEnsemble,
+    build_cache,
     d1_ratio_vs_d_optimum,
     eff_D,
     eff_D1,
@@ -107,20 +110,19 @@ class TestEnsemble:
     )
     def test_initial_blocks_equal_fisher_info(self, gammas):
         # Each model whitens its day-0 block once per distinct beta; the
-        # factor and log-determinant a scenario reads are those of its own
-        # information, bit for bit.  STACK_ENSEMBLE adds scenarios whose beta
-        # differs within a model.
+        # factor and log-determinant a scenario's group holds are those of
+        # the scenario's own information, bit for bit.  STACK_ENSEMBLE adds
+        # scenarios whose beta differs within a model.
         ens = data.model_ensemble(gammas) if gammas else STACK_ENSEMBLE
         for s, entry in zip(ens.scenarios, ens._table):
             model, p = entry.model, s.spec.p
-            key = model.key[entry.column]
             block = fisher_info(s.spec, s.params, data.initial_design())[:p, :p]
             chol = np.linalg.cholesky(block)
-            assert model.whiten[key].tobytes() == np.linalg.inv(chol).T.tobytes()
-            assert model.log_det[key] == factor_log_det(chol)
-        # A log-link model's weights are all 1: one key whatever its beta.
-        assert all(len(model.whiten) == 1 for model in ens._models
-                   if model.spec.link is Link.LOG)
+            assert model.whiten.tobytes() == np.linalg.inv(chol).T.tobytes()
+            assert model.log_det == factor_log_det(chol)
+        # A log-link model's weights are all 1: one group whatever its beta.
+        log = [id(model.spec) for model in ens._models if model.spec.link is Link.LOG]
+        assert len(log) == len(set(log))
 
     def test_singular_initial_information_names_the_model(self):
         # Four runs cannot identify the temperature model's five terms.
@@ -764,19 +766,21 @@ class TestKernelOracle:
     def test_initial_blocks_equal_the_reference(self):
         # Each row's whitening factor and log-determinant are those of the
         # reference's day-0 block, bit for bit.
-        for model, _, lanes, _, ref_base in ORACLE_MODELS:
+        for model, _, _, _, ref_base in ORACLE_MODELS:
             p = model.spec.p
-            for block, column in zip(ref_base[:, 0, :p, :p], lanes):
+            for block in ref_base[:, 0, :p, :p]:
                 chol = np.linalg.cholesky(block)
-                key = model.key[column]
-                assert model.whiten[key].tobytes() == np.linalg.inv(chol).T.tobytes()
-                assert model.log_det[key] == factor_log_det(chol)
+                assert model.whiten.tobytes() == np.linalg.inv(chol).T.tobytes()
+                assert model.log_det == factor_log_det(chol)
 
     def test_models_span_the_links_and_several_betas(self):
         links = {model.spec.link for model, *_ in ORACLE_MODELS}
         assert links == set(Link)
-        keys = sorted(len(model.whiten) for model, *_ in ORACLE_MODELS)
-        assert keys[:2] == [1, 1] and keys[2] >= 2 and keys[3] >= 3
+        groups = collections.Counter(model.spec.name for model, *_ in ORACLE_MODELS)
+        counts = sorted(groups.values())
+        assert counts[:2] == [1, 1] and counts[2] >= 2 and counts[3] >= 3
+        assert all(groups[name] == 1 for name, spec in data.MODELS.items()
+                   if spec.link is Link.LOG)
 
     def test_initial_design_outside_the_domain_is_rejected(self):
         # CI's temperature file with intercept -1 puts day-0 runs outside
@@ -812,26 +816,39 @@ class TestKernelOracle:
         # intercept's corners) and where its factorization fails (the centre
         # design under a centre predictor of 1e-6).  The kernel keeps only
         # the first kind and factors no matrix with LAPACK; the oracle
-        # decides the second.
+        # decides the second.  The two rows lie in different (model, beta)
+        # groups; the aligned stack holds one row per temperature scenario,
+        # and each group scores its own rows of it.
         ens = ORACLE_ENSEMBLE
-        model, rows, lanes, params, ref_base = ORACLE_MODELS[0]
-        assert model.spec.name == "temperature"
-        stack = oracle_stack(1, (len(rows) if aligned else 1, 100), True)
-        want = assembly_oracle._score_model(model.spec, params, ref_base, stack)
+        low, near_zero = len(STACK_ENSEMBLE.scenarios) - 1, len(STACK_ENSEMBLE.scenarios)
+        assert ens.scenarios[low].params == LOW.params
+        temperature = [i for i, s in enumerate(ens.scenarios)
+                       if s.spec.name == "temperature"]
+        full = oracle_stack(1, (len(temperature) if aligned else 1, 100), True)
         calls = count_factorizations(monkeypatch)
-        if aligned:
-            got = criteria._score([model], stack, ens._width, lanes)
-        else:
-            got = criteria._score([model], stack[0], ens._width)[:, lanes]
-        assert calls == []
-        low = rows.index(len(STACK_ENSEMBLE.scenarios) - 1)
-        assert params[low] == LOW.params
-        assert np.any(got[:, low] == 0.0) and np.any(got[:, low] > 0.0)
-        near_zero = rows.index(len(STACK_ENSEMBLE.scenarios))
-        assert np.all(want[:, near_zero, 0] == 0.0)
-        assert np.all(got[:, near_zero, 0] > 0.0)
-        assert assert_matches_reference(ens, model, rows, params, ref_base,
-                                        stack, got) >= 1
+        checked, decided = set(), 0
+        for model, rows, lanes, params, ref_base in ORACLE_MODELS:
+            if not {low, near_zero} & set(rows):
+                continue
+            stack = full[[temperature.index(i) for i in rows]] if aligned else full
+            want = assembly_oracle._score_model(model.spec, params, ref_base, stack)
+            before = len(calls)
+            if aligned:
+                got = criteria._score([model], stack, ens._width, lanes)
+            else:
+                got = criteria._score([model], stack[0], ens._width)[:, lanes]
+            assert len(calls) == before
+            if low in rows:
+                j = rows.index(low)
+                assert np.any(got[:, j] == 0.0) and np.any(got[:, j] > 0.0)
+            if near_zero in rows:
+                j = rows.index(near_zero)
+                assert np.all(want[:, j, 0] == 0.0)
+                assert np.all(got[:, j, 0] > 0.0)
+            checked |= {low, near_zero} & set(rows)
+            decided += assert_matches_reference(ens, model, rows, params, ref_base,
+                                                stack, got)
+        assert checked == {low, near_zero} and decided >= 1
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -861,6 +878,76 @@ class TestKernelOracle:
                 else:
                     with pytest.raises(InvalidPredictorError):
                         fisher_info(model.spec, q, design)
+
+
+# Two or three beta per model, each the bundled estimate scaled by its own
+# factor, for a model of each link.
+beta_scales = st.lists(
+    st.lists(st.floats(0.8, 1.25), min_size=2, max_size=3, unique=True),
+    min_size=3, max_size=3,
+)
+
+
+def beta_group_scenarios(scales, order):
+    """Scenarios of the temperature (identity), flame-width (inverse) and
+    velocity (log) models, each beta scaled by a factor of ``scales`` and
+    taken at two day effects, in an order drawn by ``order``.  Scaling
+    beta by a positive factor keeps the initial design in the domain."""
+    scenarios = []
+    for name, factors in zip(("temperature", "flame_width", "velocity"), scales):
+        base = data.ESTIMATES[name]
+        for c in factors:
+            beta = tuple(c * b for b in base.beta)
+            scenarios += [Scenario(data.MODELS[name], ParamPoint(beta, g * base.gamma))
+                          for g in (c, 1.5 * c)]
+    order.shuffle(scenarios)
+    return scenarios
+
+
+def one_beta_ensembles(big, scenarios):
+    """Per (model, beta) group of ``big``, its rows and an ensemble of its
+    scenarios alone, padded to ``big``'s width."""
+    groups = {}
+    for i, s in enumerate(scenarios):
+        log = s.spec.link is Link.LOG
+        groups.setdefault((s.spec.name, None if log else s.params.beta), []).append(i)
+    assert len(groups) == len(big._models)
+    for rows in groups.values():
+        one = ScenarioEnsemble([scenarios[i] for i in rows], big.initial_design, big.m)
+        assert len(one._models) == 1
+        one._width = big._width
+        yield rows, one
+
+
+class TestBetaGroups:
+    """An ensemble whose models carry several beta scores and caches each
+    scenario as the one-beta ensembles of its scenarios do, bit for bit."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(scales=beta_scales, order=st.randoms(use_true_random=False),
+           seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40),
+           centre=st.booleans())
+    def test_rows_equal_one_beta_ensembles(self, scales, order, seed, k, centre):
+        scenarios = beta_group_scenarios(scales, order)
+        big = ScenarioEnsemble(scenarios, data.initial_design(), 4)
+        stack = oracle_stack(seed, (len(scenarios), k), centre)
+        together = np.stack(big.score(stack[0]))
+        aligned = aligned_scores(big, stack)
+        for rows, one in one_beta_ensembles(big, scenarios):
+            alone = np.stack(one.score(stack[0]))
+            assert together[:, rows].tobytes() == alone.tobytes()
+            assert aligned[:, rows].tobytes() == aligned_scores(one, stack[rows]).tobytes()
+
+    @settings(max_examples=3, deadline=None)
+    @given(scales=beta_scales, order=st.randoms(use_true_random=False))
+    def test_cache_equals_one_beta_ensembles(self, scales, order):
+        config = PsoConfig(swarm_size=6, iterations=8, restarts=1, seed=5)
+        scenarios = beta_group_scenarios(scales, order)
+        big = build_cache(ScenarioEnsemble(scenarios, data.initial_design(), 4), config)
+        for rows, one in one_beta_ensembles(big, scenarios):
+            build_cache(one, config)
+            assert [big._table[i].optima for i in rows] == [
+                entry.optima for entry in one._table]
 
 
 # Up to three designs, box corners among them, and a sequence of calls that

@@ -63,16 +63,16 @@ class TestLink:
 
     @pytest.mark.parametrize("link", [Link.IDENTITY, Link.INVERSE])
     def test_weight_domain(self, link):
-        # weighted_gram masks exactly the matrices holding a predictor of 0
+        # weighted_gram flags exactly the matrices holding a predictor of 0
         # or -1, and weights the others by 1/eta^2.
         Z = np.arange(1.0, 19.0).reshape(3, 3, 2)
         eta = np.array([[4.0, 0.5, 2.0], [4.0, 0.0, 2.0], [-1.0, 0.5, 2.0]])
-        gram, inside = weighted_gram(link, Z, eta)
-        assert inside.tolist() == [True, False, False]
-        assert np.isfinite(gram).all()
+        grams, inside = zip(*map(weighted_gram, [link] * 3, Z, eta))
+        assert inside == (True, False, False)
+        assert all(type(flag) is bool for flag in inside)
+        assert np.isfinite(grams).all()
         want = (Z[0] * link.weight(eta[0])[:, None]).T @ Z[0]
-        np.testing.assert_array_equal(gram[0], want)
-        assert weighted_gram(link, Z[:1], eta[:1])[1] is True
+        np.testing.assert_array_equal(grams[0], want)
 
     @pytest.mark.parametrize("link", list(Link))
     def test_eta_inverts_mean(self, link):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from augdesign import (
     MissingCacheError,
+    ParamPoint,
     PsoConfig,
     Scenario,
     build_cache,
@@ -397,6 +398,20 @@ class TestLockstep:
                         ens.initial_design, ens.m, SMALL)
         with pytest.raises(ValueError, match="at least one search"):
             solve_local([], ens.initial_design, ens.m, SMALL)
+
+    def test_searches_over_several_betas_of_a_model_are_rejected(self):
+        # A non-log model's searches share one beta, and the error names the
+        # model; a log-link model's weights do not depend on beta.
+        for name, rejected in (("temperature", True), ("velocity", False)):
+            base = data.ESTIMATES[name]
+            scaled = ParamPoint(tuple(1.1 * b for b in base.beta), base.gamma)
+            searches = [(Scenario(data.MODELS[name], q), "D") for q in (base, scaled)]
+            if rejected:
+                with pytest.raises(ValueError, match=f"model {name!r}"):
+                    solve_local(searches, data.initial_design(), 4, SMALL)
+            else:
+                assert len(solve_local(searches, data.initial_design(), 4,
+                                       PsoConfig(4, 2, 1))) == 2
 
 
 class TestEnsembleSolvers:
