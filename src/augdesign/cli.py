@@ -222,10 +222,9 @@ def cmd_design(args) -> int:
         names = args.models.split(",") if args.models else ["temperature"]
         if len(names) != 1:
             raise UsageError(f"criterion {args.criterion} takes exactly one model")
-        scenario = _scenario_from_arg(names[0])
-        (result,) = solve_local(
-            [(scenario, args.criterion)], data.initial_design(), args.m, config
-        )
+        ensemble = ScenarioEnsemble([_scenario_from_arg(names[0])],
+                                    data.initial_design(), args.m)
+        (result,) = solve_local(ensemble, [(0, args.criterion)], config)
         report = {"criterion": args.criterion, "value": result.best_value,
                   "evaluations": result.evaluations}
     else:
@@ -257,6 +256,7 @@ def cmd_design(args) -> int:
 
 
 def cmd_efficiency(args) -> int:
+    config = _pso_config(args)
     scenario = _scenario_from_arg(args.model)
     design = _new_runs(args.design)
     m = len(design)
@@ -276,9 +276,7 @@ def cmd_efficiency(args) -> int:
             raise DimensionError("comparison design has zero criterion value")
         label = f"relative to {args.relative_to}"
     else:
-        (local,) = solve_local(
-            [(scenario, args.flavor)], data.initial_design(), m, _pso_config(args)
-        )
+        (local,) = solve_local(ensemble, [(0, args.flavor)], config)
         denom = local.best_value
         if denom <= 0:
             raise DegenerateOptimumError(f"the local {args.flavor} optimum is 0")

@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .criteria import Scenario, ScenarioEnsemble, _score, phi_compromise
+from .criteria import ScenarioEnsemble, _score, phi_compromise
 from .data import PUBLISHED_DESIGNS
 from .glm import COORD_MAX, COORD_MIN, GLOBAL_FACTORS as COORD_NAMES
 from .information import Design
@@ -210,48 +210,46 @@ def _published_seeds(m: int, indices: tuple[int, ...]) -> list[np.ndarray]:
 
 
 def solve_local(
-    searches: Sequence[tuple[Scenario, str]],
-    initial_design: Design,
-    m: int,
+    ensemble: ScenarioEnsemble,
+    searches: Sequence[tuple[int, str]],
     config: PsoConfig,
 ) -> list[SearchResult]:
-    """Locally D- or D1-optimal m-run augmentations, one per (scenario,
-    flavour) search, found in lockstep (``pso_lockstep``).
+    """Locally D- or D1-optimal augmentations of the ensemble's m runs, one
+    per (row, flavour) search, where row indexes ``ensemble.scenarios``,
+    found in lockstep (``pso_lockstep``).
 
-    All scenarios belong to one model and, unless its link is log, share
-    one beta.  Each iteration scores the swarms of the live lanes in one
-    call of the scoring kernel (``criteria._score``): each lane's designs
-    under its own search's information class only.
-    Only the model's active factors are searched; the inactive coordinates
-    of the returned designs are 0 (they do not enter the criterion).  Each
-    result equals that of the search alone.
+    The rows belong to one (model, beta) group of the ensemble (under a log
+    link, to one model).  Each iteration scores the swarms of the live
+    lanes in one call of the scoring kernel (``criteria._score``) at the
+    model's own width: each lane's designs under its own search's
+    information class only.  Only the model's active factors are searched;
+    the inactive coordinates of the returned designs are 0 (they do not
+    enter the criterion).  Each result equals, bit for bit, that of the
+    search alone, on this ensemble or on an ensemble of the row's scenario.
     """
     if not searches:
         raise ValueError("solve_local needs at least one search")
     if any(flavor not in ("D", "D1") for _, flavor in searches):
         raise ValueError("flavor must be 'D' or 'D1'")
-    spec = searches[0][0].spec
-    if any(s.spec != spec for s, _ in searches):
-        raise ValueError("the searches of one solve_local call share one model")
+    entries = [ensemble._table[row] for row, _ in searches]
+    model = entries[0].model
+    spec = model.spec
+    if any(entry.model is not model for entry in entries):
+        raise ValueError(f"the searches of one solve_local call share one model and "
+                         f"beta: a row lies outside the group of row {searches[0][0]}, "
+                         f"model {spec.name!r}")
     if not spec.factors:
         raise ValueError(f"model {spec.name!r} has no factor to search")
-    # Built on one spec object, so the ensemble holds one model.
-    ensemble = ScenarioEnsemble([Scenario(spec, s.params) for s, _ in searches],
-                                initial_design, m)
-    models = ensemble._models
-    if len(models) > 1:
-        raise ValueError(f"the searches of one solve_local call share one beta of "
-                         f"model {spec.name!r}")
-    column = np.array([entry.column for entry in ensemble._table])
+    column = np.array([entry.column for entry in entries])
     indices = spec.global_indices
     d_rows = np.array([[flavor == "D"] for _, flavor in searches])
 
     def objective(stack: np.ndarray, search_of: np.ndarray) -> np.ndarray:
-        scores = _score(models, stack, ensemble._width, column[search_of])
+        scores = _score([model], stack, spec.p, column[search_of])
         return np.where(d_rows[search_of], *scores)
 
-    seeds = _published_seeds(m, indices)
-    return pso_lockstep(objective, len(searches), m, indices, config, seeds)
+    seeds = _published_seeds(ensemble.m, indices)
+    return pso_lockstep(objective, len(searches), ensemble.m, indices, config, seeds)
 
 
 def build_cache(ensemble: ScenarioEnsemble, config: PsoConfig) -> ScenarioEnsemble:
@@ -264,11 +262,10 @@ def build_cache(ensemble: ScenarioEnsemble, config: PsoConfig) -> ScenarioEnsemb
     """
     for model in ensemble._models:
         classes = model.classes
-        searches = [(ensemble.scenarios[members[0]], flavor)
+        searches = [(members[0], flavor)
                     for members in classes for flavor in ("D", "D1")]
         # The results come in (D, D1) pairs, one pair per class.
-        results = iter(solve_local(searches, ensemble.initial_design,
-                                   ensemble.m, config))
+        results = iter(solve_local(ensemble, searches, config))
         for members, d_opt, d1_opt in zip(classes, results, results):
             for idx in members:
                 ensemble.set_optimal(idx, d_opt.best_design, d1_opt.best_design)

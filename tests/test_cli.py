@@ -16,7 +16,7 @@ from augdesign import (
     fit,
     predict,
 )
-from augdesign import cli, data
+from augdesign import cli, criteria, data
 from augdesign.information import read_csv, write_csv
 from augdesign.cli import (
     EXIT_CACHE,
@@ -458,9 +458,9 @@ class TestEfficiencyCommand:
     ):
         calls, search = [], cli.solve_local
 
-        def counted(searches, *args):
-            calls.append([flavor for _, flavor in searches])
-            return search(searches, *args)
+        def counted(ensemble, searches, *args):
+            calls.append((len(ensemble.scenarios), searches))
+            return search(ensemble, searches, *args)
 
         monkeypatch.setattr(cli, "solve_local", counted)
         code, stdout, _ = run_cli(
@@ -469,7 +469,7 @@ class TestEfficiencyCommand:
             "--seed", "4",
         )
         assert code == EXIT_OK
-        assert calls == [[flavor]]
+        assert calls == [(1, [(0, flavor)])]
         # The percentage that the cache of both local searches gives.
         ensemble = data.single_scenario_ensemble("temperature")
         config = PsoConfig(swarm_size=4, iterations=2, restarts=1, seed=4)
@@ -541,15 +541,48 @@ class TestEfficiencyCommand:
         ["design", "--criterion", "bayesD"],
         ["design", "--criterion", "D"],
         ["efficiency", "--model", "temperature"],
+        ["efficiency", "--model", "temperature", "--relative-to"],
     ],
-    ids=["design-bayesD", "design-D", "efficiency"],
+    ids=["design-bayesD", "design-D", "efficiency", "efficiency-relative-to"],
 )
 def test_negative_seed_is_usage_error(capsys, reference_csv, argv):
+    # efficiency checks the search flags whether or not it searches.
+    if argv[-1] == "--relative-to":
+        argv = argv + [str(reference_csv)]
     if argv[0] == "efficiency":
         argv = argv + ["--design", str(reference_csv)]
     code, _, err = run_cli(capsys, *argv, *TINY_SEARCH, "--seed", "-1")
     assert code == EXIT_USAGE
     assert "seed" in err
+
+
+@pytest.mark.parametrize(
+    "argv, whitened",
+    [
+        (["design", "--criterion", "bayesD", "--gammas", "fixed"],
+         sorted(data.RESPONSES)),
+        (["design", "--criterion", "D"], ["temperature"]),
+        (["efficiency", "--model", "temperature"], ["temperature"]),
+    ],
+    ids=["design-bayesD", "design-D", "efficiency"],
+)
+def test_each_day_zero_block_is_whitened_once(
+    capsys, monkeypatch, reference_csv, argv, whitened
+):
+    # criteria.fisher_info forms only the ensemble's day-0 blocks, one per
+    # (model, beta) group; the local searches run on the same ensemble.
+    names, assemble = [], criteria.fisher_info
+
+    def counted(spec, *args, **kwargs):
+        names.append(spec.name)
+        return assemble(spec, *args, **kwargs)
+
+    monkeypatch.setattr(criteria, "fisher_info", counted)
+    if argv[0] == "efficiency":
+        argv = argv + ["--design", str(reference_csv)]
+    code, _, _ = run_cli(capsys, *argv, *TINY_SEARCH)
+    assert code == EXIT_OK
+    assert sorted(names) == whitened
 
 
 @pytest.mark.parametrize(

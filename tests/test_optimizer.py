@@ -10,6 +10,7 @@ from augdesign import (
     ParamPoint,
     PsoConfig,
     Scenario,
+    ScenarioEnsemble,
     build_cache,
     phi_bayes,
     phi_compromise,
@@ -190,29 +191,29 @@ class TestPsoMaximize:
 
 class TestSolveLocal:
     def test_m_zero(self):
-        # A negative m is named too, not left to numpy's shape error.
+        # A negative m is named too, not left to numpy's shape error: the
+        # ensemble a search runs on rejects it.
         s = Scenario(data.MODELS["temperature"], data.ESTIMATES["temperature"])
         for m in (0, -3):
             with pytest.raises(ValueError, match=f"m >= 1 new runs, got m={m}"):
-                solve_local([(s, "D")], data.initial_design(), m, SMALL)
+                ScenarioEnsemble([s], data.initial_design(), m)
             with pytest.raises(ValueError, match=f"m >= 1 new runs, got m={m}"):
                 build_cache(data.model_ensemble("fixed", m), SMALL)
 
     def test_bad_flavor(self):
-        s = Scenario(data.MODELS["temperature"], data.ESTIMATES["temperature"])
-        with pytest.raises(ValueError):
-            solve_local([(s, "D"), (s, "B")], data.initial_design(), 4, SMALL)
+        ens = data.single_scenario_ensemble("temperature")
+        with pytest.raises(ValueError, match="flavor"):
+            solve_local(ens, [(0, "D"), (0, "B")], SMALL)
 
     def test_dominates_published_temperature_design(self, local_ensembles):
         ens = local_ensembles["temperature"]
-        s = ens.scenarios[0]
-        (result,) = solve_local([(s, "D")], data.initial_design(), 4, SMALL)
+        (result,) = solve_local(ens, [(0, "D")], SMALL)
         published = ens.score_design(data.LOCAL_D_OPTIMAL["temperature"]).D[0]
         assert result.best_value >= published - 1e-6 * published
 
     def test_temperature_search_leaves_fdv_at_zero(self):
-        s = Scenario(data.MODELS["temperature"], data.ESTIMATES["temperature"])
-        (result,) = solve_local([(s, "D")], data.initial_design(), 4, SMALL)
+        ens = data.single_scenario_ensemble("temperature")
+        (result,) = solve_local(ens, [(0, "D")], SMALL)
         design = result.best_design
         assert np.all(design.coords[:, 3] == 0.0)
         assert np.all(design.days == 1)
@@ -250,26 +251,28 @@ class TestCacheDedup:
     def test_one_search_pair_per_information(self, monkeypatch):
         calls = []
 
-        def counted(searches, *args):
-            calls.append(searches)
-            return solve_local(searches, *args)
+        def counted(ensemble, searches, *args):
+            calls.append((ensemble, searches))
+            return solve_local(ensemble, searches, *args)
 
         monkeypatch.setattr(optimizer, "solve_local", counted)
-        build_cache(data.model_ensemble("pm10pm20"), self.TINY)
-        # One lockstep call per model.  Five day-effect values per model;
-        # the log-link velocity model's information does not depend on them.
-        searches = [s for call in calls for s, _ in call]
-        assert [len({id(s.spec) for s, _ in call}) for call in calls] == [1] * 4
+        ens = build_cache(data.model_ensemble("pm10pm20"), self.TINY)
+        # One lockstep call per model, on the ensemble it fills.  Five
+        # day-effect values per model; the log-link velocity model's
+        # information does not depend on them.
+        assert all(ensemble is ens for ensemble, _ in calls)
+        searches = [ens.scenarios[row] for _, call in calls for row, _ in call]
+        assert [len({id(ens.scenarios[row].spec) for row, _ in call})
+                for _, call in calls] == [1] * 4
         assert len(searches) == 2 * (1 + 3 * 5)
         assert sum(s.spec.name == "velocity" for s in searches) == 2
 
     def test_cache_equals_one_search_pair_per_scenario(self):
         shared = build_cache(data.model_ensemble("pm10pm20"), self.TINY)
         each = data.model_ensemble("pm10pm20")
-        for idx, s in enumerate(each.scenarios):
+        for idx in range(len(each.scenarios)):
             each.set_optimal(idx, *(
-                solve_local([(s, flavor)], each.initial_design, each.m, self.TINY)[0]
-                .best_design
+                solve_local(each, [(idx, flavor)], self.TINY)[0].best_design
                 for flavor in ("D", "D1")
             ))
         assert ([entry.optima for entry in shared._table]
@@ -285,14 +288,14 @@ class TestLockstep:
     def test_each_search_equals_its_search_alone(self, model):
         assert self.STALLING.iterations > optimizer.STAGNATION_WINDOW
         ens = data.model_ensemble("pm10pm20")
-        searches = [(s, flavor) for s in ens.scenarios if s.spec.name == model
-                    for flavor in ("D", "D1")]
-        together = solve_local(searches, ens.initial_design, ens.m, self.STALLING)
+        searches = [(row, flavor) for row, s in enumerate(ens.scenarios)
+                    if s.spec.name == model for flavor in ("D", "D1")]
+        together = solve_local(ens, searches, self.STALLING)
         lengths = {tuple(map(len, r.history)) for r in together}
         assert len(lengths) > 1
         assert any(n < self.STALLING.iterations + 1 for ns in lengths for n in ns)
         for search, got in zip(searches, together):
-            (alone,) = solve_local([search], ens.initial_design, ens.m, self.STALLING)
+            (alone,) = solve_local(ens, [search], self.STALLING)
             assert got.best_design == alone.best_design
             assert got.best_value == alone.best_value
             assert got.evaluations == alone.evaluations
@@ -301,6 +304,24 @@ class TestLockstep:
             # iteration the search ran.
             swarm = self.STALLING.swarm_size
             assert got.evaluations == swarm * sum(map(len, got.history))
+
+    def test_each_search_equals_its_search_on_its_scenario_alone(self):
+        # Each group's lanes are scored at the model's own p, not padded to
+        # the ensemble's largest p, so every value is bit for bit that of
+        # an ensemble of the row's scenario alone.
+        ens = data.model_ensemble("pm10pm20")
+        assert len({s.spec.p for s in ens.scenarios}) > 1
+        for model in ens._models:
+            searches = [(row, flavor) for members in model.classes
+                        for row in members for flavor in ("D", "D1")]
+            together = solve_local(ens, searches, SMALL)
+            for (row, flavor), got in zip(searches, together, strict=True):
+                own = ScenarioEnsemble([ens.scenarios[row]], ens.initial_design, ens.m)
+                (alone,) = solve_local(own, [(0, flavor)], SMALL)
+                assert got.best_design == alone.best_design
+                assert got.best_value == alone.best_value
+                assert got.history == alone.history
+                assert got.evaluations == alone.evaluations
 
     def stalling_temperature_searches(self, monkeypatch):
         """The D and D1 searches of pm10pm20's temperature scenarios at the
@@ -317,9 +338,9 @@ class TestLockstep:
 
         monkeypatch.setattr(optimizer, "pso_lockstep", spy)
         ens = data.model_ensemble("pm10pm20")
-        searches = [(s, flavor) for s in ens.scenarios
+        searches = [(row, flavor) for row, s in enumerate(ens.scenarios)
                     if s.spec.name == "temperature" for flavor in ("D", "D1")]
-        results = solve_local(searches, ens.initial_design, ens.m, self.STALLING)
+        results = solve_local(ens, searches, self.STALLING)
         return searches, results, calls
 
     def test_scores_the_live_lanes_only(self, monkeypatch):
@@ -393,25 +414,28 @@ class TestLockstep:
 
     def test_searches_of_two_models_are_rejected(self):
         ens = data.model_ensemble("fixed")
+        assert ens.scenarios[0].spec is not ens.scenarios[1].spec
         with pytest.raises(ValueError, match="share one model"):
-            solve_local([(ens.scenarios[0], "D"), (ens.scenarios[1], "D")],
-                        ens.initial_design, ens.m, SMALL)
+            solve_local(ens, [(0, "D"), (1, "D")], SMALL)
         with pytest.raises(ValueError, match="at least one search"):
-            solve_local([], ens.initial_design, ens.m, SMALL)
+            solve_local(ens, [], SMALL)
 
     def test_searches_over_several_betas_of_a_model_are_rejected(self):
-        # A non-log model's searches share one beta, and the error names the
-        # model; a log-link model's weights do not depend on beta.
+        # Rows of two (model, beta) groups are rejected, and the error names
+        # the model; a log-link model's weights do not depend on beta, so
+        # its two betas form one group.
         for name, rejected in (("temperature", True), ("velocity", False)):
             base = data.ESTIMATES[name]
             scaled = ParamPoint(tuple(1.1 * b for b in base.beta), base.gamma)
-            searches = [(Scenario(data.MODELS[name], q), "D") for q in (base, scaled)]
+            ens = ScenarioEnsemble([Scenario(data.MODELS[name], q)
+                                    for q in (base, scaled)], data.initial_design(), 4)
+            assert len(ens._models) == (2 if rejected else 1)
+            searches = [(0, "D"), (1, "D")]
             if rejected:
                 with pytest.raises(ValueError, match=f"model {name!r}"):
-                    solve_local(searches, data.initial_design(), 4, SMALL)
+                    solve_local(ens, searches, SMALL)
             else:
-                assert len(solve_local(searches, data.initial_design(), 4,
-                                       PsoConfig(4, 2, 1))) == 2
+                assert len(solve_local(ens, searches, PsoConfig(4, 2, 1))) == 2
 
 
 class TestEnsembleSolvers:
