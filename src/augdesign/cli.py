@@ -199,6 +199,15 @@ def _report_efficiencies(ensemble: ScenarioEnsemble, design: Design) -> list[dic
     return rows
 
 
+def _local_optimum(ensemble: ScenarioEnsemble, flavor: str, config: PsoConfig):
+    """The local ``flavor`` search on row 0 of the ensemble; a zero
+    optimum, against which no efficiency exists, is a cache error."""
+    (result,) = solve_local(ensemble, [(0, flavor)], config)
+    if result.best_value <= 0:
+        raise DegenerateOptimumError(f"the local {flavor} optimum is 0")
+    return result
+
+
 def cmd_design(args) -> int:
     config = _pso_config(args)
     if args.m < 0:
@@ -209,6 +218,14 @@ def cmd_design(args) -> int:
         raise UsageError(
             "--gammas applies only to the Bayesian and compromise criteria"
         )
+    local = args.criterion in ("D", "D1")
+    names = (args.models.split(",") if args.models
+             else ["temperature"] if local else list(data.RESPONSES))
+    if local and len(names) != 1:
+        raise UsageError(f"criterion {args.criterion} takes exactly one model")
+    if len(set(names)) != len(names):
+        raise UsageError(f"--models names a model twice: {args.models}")
+    scenarios = [_scenario_from_arg(n) for n in names]
     if args.m == 0:
         print("warning: m=0 requested; empty design, criterion value 0")
         if args.out:
@@ -218,20 +235,12 @@ def cmd_design(args) -> int:
             _write(args.report, json.dumps(report, indent=2))
         return EXIT_OK
 
-    if args.criterion in ("D", "D1"):
-        names = args.models.split(",") if args.models else ["temperature"]
-        if len(names) != 1:
-            raise UsageError(f"criterion {args.criterion} takes exactly one model")
-        ensemble = ScenarioEnsemble([_scenario_from_arg(names[0])],
-                                    data.initial_design(), args.m)
-        (result,) = solve_local(ensemble, [(0, args.criterion)], config)
+    if local:
+        ensemble = ScenarioEnsemble(scenarios, data.initial_design(), args.m)
+        result = _local_optimum(ensemble, args.criterion, config)
         report = {"criterion": args.criterion, "value": result.best_value,
                   "evaluations": result.evaluations}
     else:
-        names = args.models.split(",") if args.models else list(data.RESPONSES)
-        if len(set(names)) != len(names):
-            raise UsageError(f"--models names a model twice: {args.models}")
-        scenarios = [_scenario_from_arg(n) for n in names]
         ensemble = data.model_ensemble(args.gammas or "fixed", args.m, scenarios)
         build_cache(ensemble, config)
         alpha = {"bayesD": 1.0, "bayesD1": 0.0}.get(args.criterion, args.alpha)
@@ -276,10 +285,7 @@ def cmd_efficiency(args) -> int:
             raise DimensionError("comparison design has zero criterion value")
         label = f"relative to {args.relative_to}"
     else:
-        (local,) = solve_local(ensemble, [(0, args.flavor)], config)
-        denom = local.best_value
-        if denom <= 0:
-            raise DegenerateOptimumError(f"the local {args.flavor} optimum is 0")
+        denom = _local_optimum(ensemble, args.flavor, config).best_value
         label = "vs local optimum"
     fisher_info(scenario.spec, scenario.params, design,
                 what=f"the design in {args.design}")

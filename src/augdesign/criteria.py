@@ -90,29 +90,17 @@ _QUADRATIC = ModelSpec("full quadratic", Link.LOG, GLOBAL_FACTORS, (
 class _Model(NamedTuple):
     """One model and beta's share of an ensemble (under a log link, whose
     weights are all 1, the model's whole share): the model, its columns of
-    the full quadratic, its information classes (the rows of each), beta as
-    a (p, 1) column, L^{-T} of the day-0 information A = L L^T, log det A
-    and the (C,) day effects of the classes."""
+    the full quadratic, the first row of each of its information classes,
+    beta as a (p, 1) column, L^{-T} of the day-0 information A = L L^T,
+    log det A and the (C,) day effects of the classes."""
 
     spec: ModelSpec
     columns: np.ndarray
-    classes: tuple
+    rows: tuple
     beta: np.ndarray
     whiten: np.ndarray
     log_det: float
     gamma: np.ndarray
-
-
-@dataclass(eq=False, slots=True)
-class _Entry:
-    """A scenario's row of the scores, its model and information class
-    there, and optima (D at the D-, D1 at the D1-, D1 at the D-optimum),
-    None until cached."""
-
-    row: int
-    model: _Model
-    column: int
-    optima: Optional[tuple[float, float, float]] = None
 
 
 class ScenarioEnsemble:
@@ -156,36 +144,37 @@ class ScenarioEnsemble:
             grouped.setdefault(group, {}).setdefault(
                 None if log else s.params.gamma, []).append(i)
         # Per group (``_Model``) the whitening of the day-0 block; the day-0
-        # runs carry no day effect, so gamma does not enter it.  _row_class
-        # maps each row of the scores to its class in ``_score``'s order,
-        # and every score pads to one width.  _index keys the entries by
-        # spec identity (hashing a ModelSpec costs microseconds); a repeat
-        # shares the first entry.
-        self._table: list[_Entry] = [None] * len(self.scenarios)
-        self._index: dict[tuple[int, ParamPoint], _Entry] = {}
+        # runs carry no day effect, so gamma does not enter it.  _classes
+        # holds each class's (model, column) in ``_score``'s order and
+        # _optima its optima (D at the D-, D1 at the D1-, D1 at the
+        # D-optimum), None until cached; _row_class maps each row of the
+        # scores to its class, and every score pads to one width.  _row_of
+        # keys a scenario's first row and class by spec identity (hashing a
+        # ModelSpec costs microseconds).
         self._models: list[_Model] = []
+        self._classes: list[tuple[_Model, int]] = []
+        self._row_of: dict[tuple[int, ParamPoint], tuple[int, int]] = {}
         self._row_class = np.empty(len(self.scenarios), dtype=int)
         self._width = max(s.spec.p for s in self.scenarios)
-        full, first = [sorted(pair) for pair in _QUADRATIC.slots.T.tolist()], 0
+        full = [sorted(pair) for pair in _QUADRATIC.slots.T.tolist()]
         for shared in grouped.values():
-            classes = tuple(map(tuple, shared.values()))
-            lead = self.scenarios[classes[0][0]]
+            rows = tuple(members[0] for members in shared.values())
+            lead = self.scenarios[rows[0]]
             spec, beta = lead.spec, lead.params.beta
             columns = [full.index(sorted(pair)) for pair in spec.slots.T.tolist()]
             model = _Model(
-                spec, np.array(columns), classes, np.array(beta)[:, None],
+                spec, np.array(columns), rows, np.array(beta)[:, None],
                 *_whitening(spec, beta, initial_design),
-                np.array([self.scenarios[members[0]].params.gamma
-                          for members in classes]),
+                np.array([self.scenarios[i].params.gamma for i in rows]),
             )
             self._models.append(model)
-            for column, members in enumerate(classes):
-                self._row_class[list(members)] = first + column
+            for column, members in enumerate(shared.values()):
+                self._row_class[members] = len(self._classes)
                 for i in members:
-                    self._table[i] = self._index.setdefault(
-                        (id(spec), self.scenarios[i].params),
-                        _Entry(i, model, column))
-            first += len(classes)
+                    self._row_of.setdefault((id(spec), self.scenarios[i].params),
+                                            (i, len(self._classes)))
+                self._classes.append((model, column))
+        self._optima: list[Optional[tuple]] = [None] * len(self._classes)
 
     def score(self, stack: np.ndarray) -> StackScores:
         """The D and D1 criteria of a (k, m, 4) stack of designs of new
@@ -215,19 +204,20 @@ class ScenarioEnsemble:
         return scores
 
     def set_optimal(self, idx: int, d_opt: Design, d1_opt: Design) -> None:
-        """Cache the scenario's optima from explicit locally optimal designs,
-        scored as one stack of two against the scenario's model.  Each must
-        have the ensemble's m runs, or ``ValueError`` names both counts."""
+        """Cache the optima of row ``idx``'s information class, which every
+        row of the class reads, from explicit locally optimal designs scored
+        as one stack of two against the class's model.  Each must have the
+        ensemble's m runs, or ``ValueError`` names both counts."""
         if {len(d_opt), len(d1_opt)} != {self.m}:
             raise ValueError(f"optima of {len(d_opt)} and {len(d1_opt)} runs cannot "
                              f"be cached for an ensemble of m={self.m} new runs")
-        entry = self._table[idx]
+        cls = self._row_class[idx]
+        model, column = self._classes[cls]
         stack = np.stack([_new_coords(d_opt), _new_coords(d1_opt)])
-        (vd, _), (vd1_at_d, vd1) = _score([entry.model], stack,
-                                          self._width)[:, entry.column]
+        (vd, _), (vd1_at_d, vd1) = _score([model], stack, self._width)[:, column]
         if vd <= 0 or vd1 <= 0 or vd1_at_d <= 0:
             raise DegenerateOptimumError("cached optimal values must be positive")
-        entry.optima = (float(vd), float(vd1), float(vd1_at_d))
+        self._optima[cls] = (float(vd), float(vd1), float(vd1_at_d))
 
 
 def _whitening(spec: ModelSpec, beta: tuple, initial_design: Design):
@@ -321,14 +311,16 @@ def _scored(ensemble: ScenarioEnsemble, new_runs: NewRuns) -> StackScores:
 def _relative(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble,
               criterion: int, optimum: int):
     """The scenario's row of score ``criterion`` (0 for D, 1 for D1) over its
-    cached ``optima[optimum]``; a KeyError outside the ensemble."""
-    entry = ensemble._index.get((id(scenario.spec), scenario.params))
-    if entry is None:
+    class's cached ``optima[optimum]``; a KeyError outside the ensemble."""
+    found = ensemble._row_of.get((id(scenario.spec), scenario.params))
+    if found is None:
         raise KeyError("scenario does not belong to this ensemble")
-    if entry.optima is None:
-        raise MissingCacheError(f"no cached optimum for scenario {entry.row}; "
+    row, cls = found
+    optima = ensemble._optima[cls]
+    if optima is None:
+        raise MissingCacheError(f"no cached optimum for scenario {row}; "
                                 "build the cache first")
-    return _scored(ensemble, new_runs)[criterion][entry.row] / entry.optima[optimum]
+    return _scored(ensemble, new_runs)[criterion][row] / optima[optimum]
 
 
 def eff_D(scenario: Scenario, new_runs: NewRuns, ensemble: ScenarioEnsemble):

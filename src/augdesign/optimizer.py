@@ -231,16 +231,16 @@ def solve_local(
         raise ValueError("solve_local needs at least one search")
     if any(flavor not in ("D", "D1") for _, flavor in searches):
         raise ValueError("flavor must be 'D' or 'D1'")
-    entries = [ensemble._table[row] for row, _ in searches]
-    model = entries[0].model
+    classes = [ensemble._classes[ensemble._row_class[row]] for row, _ in searches]
+    model = classes[0][0]
     spec = model.spec
-    if any(entry.model is not model for entry in entries):
+    if any(own is not model for own, _ in classes):
         raise ValueError(f"the searches of one solve_local call share one model and "
                          f"beta: a row lies outside the group of row {searches[0][0]}, "
                          f"model {spec.name!r}")
     if not spec.factors:
         raise ValueError(f"model {spec.name!r} has no factor to search")
-    column = np.array([entry.column for entry in entries])
+    column = np.array([column for _, column in classes])
     indices = spec.global_indices
     d_rows = np.array([[flavor == "D"] for _, flavor in searches])
 
@@ -254,21 +254,18 @@ def solve_local(
 
 def build_cache(ensemble: ScenarioEnsemble, config: PsoConfig) -> ScenarioEnsemble:
     """Populate the ensemble's locally-optimal-value cache by running both
-    local searches for every scenario.  Returns the same ensemble.
+    local searches for every information class.  Returns the same ensemble.
 
-    The scenarios of one information class of the ensemble share their
-    searches, and the D and D1 searches of one model and beta run in one
+    The scenarios of one class share its searches and its cached optima,
+    and the D and D1 searches of one model and beta run in one
     ``solve_local`` call.
     """
     for model in ensemble._models:
-        classes = model.classes
-        searches = [(members[0], flavor)
-                    for members in classes for flavor in ("D", "D1")]
+        searches = [(row, flavor) for row in model.rows for flavor in ("D", "D1")]
         # The results come in (D, D1) pairs, one pair per class.
         results = iter(solve_local(ensemble, searches, config))
-        for members, d_opt, d1_opt in zip(classes, results, results):
-            for idx in members:
-                ensemble.set_optimal(idx, d_opt.best_design, d1_opt.best_design)
+        for row, d_opt, d1_opt in zip(model.rows, results, results):
+            ensemble.set_optimal(row, d_opt.best_design, d1_opt.best_design)
     return ensemble
 
 

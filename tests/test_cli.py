@@ -248,6 +248,25 @@ class TestDesignCommand:
         payload = json.loads(report.read_text())
         assert payload == {"criterion": "bayesD", "value": 0.0, "evaluations": 0}
 
+    @pytest.mark.parametrize("criterion, models, code", [
+        ("D", "temperature,velocity", EXIT_USAGE),
+        ("bayesD", "bad.json", EXIT_PARSE),
+        ("bayesD", "temperature,temperature", EXIT_USAGE),
+    ], ids=["two-local-models", "unparsable-scenario", "repeated-model"])
+    def test_m_zero_checks_the_models(self, capsys, tmp_path, monkeypatch,
+                                      criterion, models, code):
+        # m = 0 builds no ensemble, but --models is checked as for m >= 1.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text('"x"')
+        out = tmp_path / "empty.csv"
+        got, stdout, _ = run_cli(
+            capsys, "design", "--criterion", criterion, "--models", models,
+            "--m", "0", "--out", str(out),
+        )
+        assert got == code
+        assert stdout == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--out", "--report"])
     def test_unwritable_output_is_usage_error(self, capsys, tmp_path, flag):
         path = tmp_path / "missing" / "d.csv"
@@ -359,13 +378,21 @@ class TestDesignCommand:
             for c in (0.9, 1.0, 1.1)
         ]
 
-    def test_degenerate_optimum_is_cache_error(self, capsys, degenerate_scenario):
-        code, _, err = run_cli(
-            capsys, "design", "--criterion", "bayesD",
+    @pytest.mark.parametrize("criterion", ["bayesD", "D", "D1"])
+    def test_degenerate_optimum_is_cache_error(
+        self, capsys, tmp_path, degenerate_scenario, criterion
+    ):
+        # A zero local optimum fails before any design is printed or written.
+        out, report = tmp_path / "d.csv", tmp_path / "r.json"
+        code, stdout, err = run_cli(
+            capsys, "design", "--criterion", criterion,
             "--models", str(degenerate_scenario), *TINY_SEARCH,
+            "--out", str(out), "--report", str(report),
         )
         assert code == EXIT_CACHE
         assert "cache error" in err
+        assert stdout == ""
+        assert not out.exists() and not report.exists()
 
 
 class TestEfficiencyCommand:

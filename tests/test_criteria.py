@@ -114,8 +114,8 @@ class TestEnsemble:
         # the scenario's own information, bit for bit.  STACK_ENSEMBLE adds
         # scenarios whose beta differs within a model.
         ens = data.model_ensemble(gammas) if gammas else STACK_ENSEMBLE
-        for s, entry in zip(ens.scenarios, ens._table):
-            model, p = entry.model, s.spec.p
+        for s, cls in zip(ens.scenarios, ens._row_class):
+            (model, _), p = ens._classes[cls], s.spec.p
             block = fisher_info(s.spec, s.params, data.initial_design())[:p, :p]
             chol = np.linalg.cholesky(block)
             assert model.whiten.tobytes() == np.linalg.inv(chol).T.tobytes()
@@ -172,7 +172,7 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("row", [0, 1])
     def test_repeated_scenario_reads_the_optima_set_on_either_row(self, row):
-        # Both rows of a repeated scenario are one entry of the table, so
+        # Both rows of a repeated scenario are one information class, so
         # the optima cached through either row are the ones every reader reads.
         optima = (data.LOCAL_D_OPTIMAL["velocity"], data.LOCAL_D1_OPTIMAL["velocity"])
         single = data.single_scenario_ensemble("velocity")
@@ -185,6 +185,40 @@ class TestEnsemble:
             for t in ens.scenarios:
                 assert reader(t, data.REFERENCE_DESIGN, ens) == pytest.approx(
                     want, rel=1e-12)
+
+    def test_log_link_rows_read_the_optima_set_on_one_row(self):
+        # A log link's weights are all 1, so every row of velocity, whatever
+        # its beta and gamma, is one information class with one cache slot.
+        base = data.ESTIMATES["velocity"]
+        scaled = tuple(1.1 * b for b in base.beta)
+        ens = ScenarioEnsemble([
+            Scenario(data.MODELS["velocity"], q) for q in (
+                base, ParamPoint(base.beta, 1.1 * base.gamma),
+                ParamPoint(scaled, base.gamma))
+        ], data.initial_design(), 4)
+        ens.set_optimal(0, data.LOCAL_D_OPTIMAL["velocity"],
+                        data.LOCAL_D1_OPTIMAL["velocity"])
+        for reader in (eff_D, eff_D1, d1_ratio_vs_d_optimum):
+            want = reader(ens.scenarios[0], data.REFERENCE_DESIGN, ens)
+            assert want > 0.0
+            for s in ens.scenarios[1:]:
+                assert reader(s, data.REFERENCE_DESIGN, ens) == want
+
+    def test_rows_of_another_gamma_keep_their_own_slot(self):
+        # Under the identity link, gamma enters the weights: the row at 1.1
+        # gamma is a class of its own, which set_optimal(0) leaves uncached.
+        base = data.ESTIMATES["temperature"]
+        ens = ScenarioEnsemble([
+            Scenario(data.MODELS["temperature"], q)
+            for q in (base, ParamPoint(base.beta, 1.1 * base.gamma))
+        ], data.initial_design(), 4)
+        ens.set_optimal(0, data.LOCAL_D_OPTIMAL["temperature"],
+                        data.LOCAL_D1_OPTIMAL["temperature"])
+        for reader in (eff_D, eff_D1, d1_ratio_vs_d_optimum):
+            assert reader(ens.scenarios[0], data.REFERENCE_DESIGN, ens) > 0.0
+            with pytest.raises(MissingCacheError,
+                               match="no cached optimum for scenario 1;"):
+                reader(ens.scenarios[1], data.REFERENCE_DESIGN, ens)
 
 
 # pm10pm20 holds five day-effect values per model, so drawing a model and a
@@ -450,8 +484,14 @@ ALIGNED_CORNERS = np.stack([
 def model_rows(ens, model):
     """The rows of ``model``'s scenarios in the ensemble, and the class of
     each in the model."""
-    rows = [i for i, entry in enumerate(ens._table) if entry.model is model]
-    return rows, np.array([ens._table[i].column for i in rows])
+    rows = [i for i, cls in enumerate(ens._row_class) if ens._classes[cls][0] is model]
+    return rows, np.array([ens._classes[ens._row_class[i]][1] for i in rows])
+
+
+def row_optima(ens, row):
+    """The cached optima that row ``row`` of the ensemble reads: those of
+    its information class, or None."""
+    return ens._optima[ens._row_class[row]]
 
 
 def aligned_scores(ens, stack):
@@ -490,7 +530,7 @@ def scalar_criteria(ens, designs):
     length-k arrays, of k designs from ``reference_phi`` and the cached
     optima."""
     phi = reference_phi(ens, designs)
-    optima = np.array([entry.optima[:2] for entry in ens._table]).T
+    optima = np.array([row_optima(ens, i)[:2] for i in range(len(ens.scenarios))]).T
     effs = {flavor: phi[c] / optima[c][:, None] for c, flavor in enumerate(("D", "D1"))}
     bayes = {
         flavor: sum(s.weight * row for s, row in zip(ens.scenarios, eff))
@@ -597,7 +637,7 @@ class TestStacked:
         values = eff_D(LOW, ens.score(CORNER_STACK), ens)
         assert values[-1] > 0.0
         assert np.any(values[:-1] == 0.0)
-        opt = ens._table[ens.scenarios.index(LOW)].optima[0]
+        opt = row_optima(ens, ens.scenarios.index(LOW))[0]
         assert_same_as_scalar(
             values, [phi_D(LOW, d, ens) / opt for d in CORNER_STACK]
         )
@@ -946,8 +986,8 @@ class TestBetaGroups:
         big = build_cache(ScenarioEnsemble(scenarios, data.initial_design(), 4), config)
         for rows, one in one_beta_ensembles(big, scenarios):
             build_cache(one, config)
-            assert [big._table[i].optima for i in rows] == [
-                entry.optima for entry in one._table]
+            assert [row_optima(big, i) for i in rows] == [
+                row_optima(one, i) for i in range(len(one.scenarios))]
 
 
 # Up to three designs, box corners among them, and a sequence of calls that
@@ -1052,7 +1092,7 @@ def test_set_optimal_equals_the_scalar_criteria(gammas):
         d_opt = data.LOCAL_D_OPTIMAL[s.spec.name]
         d1_opt = data.LOCAL_D1_OPTIMAL[s.spec.name]
         ens.set_optimal(i, d_opt, d1_opt)
-        optima = ens._table[i].optima
+        optima = row_optima(ens, i)
         np.testing.assert_allclose(optima, (
             phi_D(s, d_opt, ens), phi_D1(s, d1_opt, ens), phi_D1(s, d_opt, ens)
         ), rtol=1e-12, atol=0.0)
@@ -1071,9 +1111,9 @@ def test_set_optimal_rejects_optima_of_another_run_count():
     for pair in ((d_opt, d1_opt), (d_three, d1_opt)):
         with pytest.raises(ValueError, match="4 runs .* m=3 new runs"):
             ens.set_optimal(0, *pair)
-    assert all(entry.optima is None for entry in ens._table)
+    assert all(optima is None for optima in ens._optima)
     ens.set_optimal(0, d_three, d1_three)
-    assert ens._table[0].optima[0] > 0
+    assert row_optima(ens, 0)[0] > 0
     assert (ens.score(np.zeros((1, 0, 4))).D == 0).all()
     assert (ens.score(d_opt.coords[None]).D > 0).all()
 

@@ -224,7 +224,7 @@ class TestCache:
     def test_single_scenario_cache_entries(self):
         ens = data.single_scenario_ensemble("flame_width")
         build_cache(ens, SMALL)
-        d_at_d, d1_at_d1, d1_at_d = ens._table[0].optima
+        d_at_d, d1_at_d1, d1_at_d = ens._optima[ens._row_class[0]]
         assert d_at_d > 0
         assert d1_at_d1 > 0
         assert d1_at_d > 0
@@ -234,7 +234,7 @@ class TestCache:
         for _ in range(2):
             ens = data.single_scenario_ensemble("velocity")
             build_cache(ens, SMALL)
-            values.append(ens._table[0].optima)
+            values.append(ens._optima[ens._row_class[0]])
         assert values[0] == values[1]
 
     def test_cache_dominates_published_designs(self):
@@ -242,7 +242,7 @@ class TestCache:
             ens = data.single_scenario_ensemble(name)
             build_cache(ens, SMALL)
             published = ens.score_design(data.LOCAL_D_OPTIMAL[name]).D[0]
-            assert ens._table[0].optima[0] >= published * (1 - 1e-6)
+            assert ens._optima[ens._row_class[0]][0] >= published * (1 - 1e-6)
 
 
 class TestCacheDedup:
@@ -267,6 +267,25 @@ class TestCacheDedup:
         assert len(searches) == 2 * (1 + 3 * 5)
         assert sum(s.spec.name == "velocity" for s in searches) == 2
 
+    @pytest.mark.parametrize("gammas, classes", [
+        ("fixed", 4), ("pm10", 1 + 3 * 3), ("pm10pm20", 1 + 3 * 5),
+    ])
+    def test_one_set_optimal_per_information_class(self, monkeypatch, gammas,
+                                                   classes):
+        # Every row of a class reads the class's one optima slot, so the
+        # log-link velocity model's rows are cached by one call.
+        rows, set_optimal = [], ScenarioEnsemble.set_optimal
+
+        def counted(ensemble, idx, *designs):
+            rows.append(idx)
+            return set_optimal(ensemble, idx, *designs)
+
+        monkeypatch.setattr(ScenarioEnsemble, "set_optimal", counted)
+        ens = build_cache(data.model_ensemble(gammas), self.TINY)
+        assert len(rows) == classes
+        assert sorted(ens._row_class[rows]) == list(range(classes))
+        assert all(optima is not None for optima in ens._optima)
+
     def test_cache_equals_one_search_pair_per_scenario(self):
         shared = build_cache(data.model_ensemble("pm10pm20"), self.TINY)
         each = data.model_ensemble("pm10pm20")
@@ -275,8 +294,8 @@ class TestCacheDedup:
                 solve_local(each, [(idx, flavor)], self.TINY)[0].best_design
                 for flavor in ("D", "D1")
             ))
-        assert ([entry.optima for entry in shared._table]
-                == [entry.optima for entry in each._table])
+        assert ([shared._optima[cls] for cls in shared._row_class]
+                == [each._optima[cls] for cls in each._row_class])
 
 
 class TestLockstep:
@@ -312,8 +331,8 @@ class TestLockstep:
         ens = data.model_ensemble("pm10pm20")
         assert len({s.spec.p for s in ens.scenarios}) > 1
         for model in ens._models:
-            searches = [(row, flavor) for members in model.classes
-                        for row in members for flavor in ("D", "D1")]
+            searches = [(row, flavor) for row, cls in enumerate(ens._row_class)
+                        if ens._classes[cls][0] is model for flavor in ("D", "D1")]
             together = solve_local(ens, searches, SMALL)
             for (row, flavor), got in zip(searches, together, strict=True):
                 own = ScenarioEnsemble([ens.scenarios[row]], ens.initial_design, ens.m)
