@@ -3,16 +3,13 @@ and the alpha-compromise between estimation and day-effect testing."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .glm import (
-    GLOBAL_FACTORS, Link, ModelSpec, ParamPoint, Term, is_number, regressor_matrix,
-)
+from .glm import Link, ModelSpec, ParamPoint, is_number, quadratic
 from .information import Design, cholesky, eliminate, factor_log_det, fisher_info
 
 
@@ -80,22 +77,14 @@ class Scenario:
         object.__setattr__(self, "params", params)
 
 
-# The 15 terms of a full quadratic: ``_score`` forms a stack's regressors
-# once over them, and each model takes its own columns.
-_QUADRATIC = ModelSpec("full quadratic", Link.LOG, GLOBAL_FACTORS, (
-    Term.intercept(), *map(Term.main, range(4)), *map(Term.square, range(4)),
-    *itertools.starmap(Term.interaction, itertools.combinations(range(4), 2))))
-
-
 class _Model(NamedTuple):
     """One model and beta's share of an ensemble (under a log link, whose
-    weights are all 1, the model's whole share): the model, its columns of
-    the full quadratic, the first row of each of its information classes,
-    beta as a (p, 1) column, L^{-T} of the day-0 information A = L L^T,
-    log det A and the (C,) day effects of the classes."""
+    weights are all 1, the model's whole share): the model, the first row
+    of each of its information classes, beta as a (p, 1) column, L^{-T} of
+    the day-0 information A = L L^T, log det A and the (C,) day effects of
+    the classes."""
 
     spec: ModelSpec
-    columns: np.ndarray
     rows: tuple
     beta: np.ndarray
     whiten: np.ndarray
@@ -156,17 +145,13 @@ class ScenarioEnsemble:
         self._row_of: dict[tuple[int, ParamPoint], tuple[int, int]] = {}
         self._row_class = np.empty(len(self.scenarios), dtype=int)
         self._width = max(s.spec.p for s in self.scenarios)
-        full = [sorted(pair) for pair in _QUADRATIC.slots.T.tolist()]
         for shared in grouped.values():
             rows = tuple(members[0] for members in shared.values())
             lead = self.scenarios[rows[0]]
             spec, beta = lead.spec, lead.params.beta
-            columns = [full.index(sorted(pair)) for pair in spec.slots.T.tolist()]
-            model = _Model(
-                spec, np.array(columns), rows, np.array(beta)[:, None],
-                *_whitening(spec, beta, initial_design),
-                np.array([self.scenarios[i].params.gamma for i in rows]),
-            )
+            model = _Model(spec, rows, np.array(beta)[:, None],
+                           *_whitening(spec, beta, initial_design),
+                           np.array([self.scenarios[i].params.gamma for i in rows]))
             self._models.append(model)
             for column, members in enumerate(shared.values()):
                 self._row_class[members] = len(self._classes)
@@ -244,8 +229,9 @@ def _score(models: list[_Model], stack: np.ndarray, width: int,
     s their roots sqrt(w) and M = I + U U^T, the matrix determinant lemma and
     the Schur complement of the day column give |I| = |A| |M| D1 and
     D1 = s^T M^{-1} s.  The U of all models and classes, zero-padded to
-    ``width`` >= p columns, are eliminated together (``eliminate``); a
-    design's values depend on the width, not on the rest of the stack.  M
+    ``width`` >= p columns, are eliminated together (``eliminate``).  Stacks
+    of one shape score alike, but BLAS picks the path of ``Z @ whiten`` and
+    ``Z @ beta`` by row count, so a design's last bits may depend on k.  M
     has no eigenvalue below 1, so a design scores 0 only where a predictor
     lies outside its class's link domain.
     """
@@ -256,14 +242,14 @@ def _score(models: list[_Model], stack: np.ndarray, width: int,
     u, s = np.zeros((m, rows, k, width)), np.ones((m, rows, k))
     offset, power = np.empty((2, rows, 1))
     masks, first = [], 0
-    quadratic = regressor_matrix(_QUADRATIC, stack.reshape(-1, 4))
-    for spec, columns, _, beta, whiten, log_det, gamma in models:
+    full = quadratic(stack.reshape(-1, 4))
+    for spec, _, beta, whiten, log_det, gamma in models:
         if lanes is not None:
             gamma = gamma[lanes]
         own = slice(first, first + len(gamma))
         first = own.stop
         # Without lanes, every class reads the one (k, m) block of W and eta.
-        Z = quadratic.take(columns, axis=1).reshape(*stack.shape[:-3], k * m, spec.p)
+        Z = full.take(spec.columns, axis=1).reshape(*stack.shape[:-3], k * m, spec.p)
         W = (Z @ whiten).reshape(*stack.shape[:-1], spec.p)
         U = u[:, own, :, : spec.p].transpose(1, 2, 0, 3)
         if spec.link is Link.LOG:

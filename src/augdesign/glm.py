@@ -20,6 +20,12 @@ GLOBAL_FACTORS: tuple[str, ...] = ("L", "K", "D", "FDV")
 COORD_MIN = -2.0
 COORD_MAX = 2.0
 
+# The full quadratic over GLOBAL_FACTORS: each of its 15 terms is the sorted
+# pair of columns of [1, L, K, D, FDV] whose product it is.  ``quadratic``
+# runs in every scoring call, so its (2, 15) index array is built once here.
+QUADRATIC = tuple((i, j) for i in range(5) for j in range(i, 5))
+_PAIRS = np.array(QUADRATIC).T
+
 
 def is_number(value) -> bool:
     """A real number that is not a bool: JSON ``true`` is never read as 1."""
@@ -138,9 +144,9 @@ class ModelSpec:
     """A link plus an ordered list of quadratic-surface terms.
 
     ``factors`` is the model's own (ordered) subset of GLOBAL_FACTORS;
-    term indices refer to this list, not to the global one.  ``slots``
-    names, for every term, the two columns of [1, L, K, D, FDV] whose
-    product it is; it is built once from the terms and is not a field.
+    term indices refer to this list, not to the global one.  ``columns``
+    gives each term's position in QUADRATIC as a read-only (p,) array; it
+    is built once from the terms and is not a field.
     """
 
     name: str
@@ -167,9 +173,10 @@ class ModelSpec:
         # factor index (-1) selects; a square uses its factor twice.
         column = (0, *(1 + g for g in self.global_indices))
         pairs = [(t.a, t.a if t.kind is TermKind.SQUARE else t.b) for t in self.terms]
-        slots = np.array([[column[i + 1] for i in pair] for pair in pairs]).T
-        slots.flags.writeable = False
-        object.__setattr__(self, "slots", slots)
+        columns = np.array([QUADRATIC.index(tuple(sorted(column[i + 1] for i in pair)))
+                            for pair in pairs])
+        columns.flags.writeable = False
+        object.__setattr__(self, "columns", columns)
 
     @property
     def p(self) -> int:
@@ -234,14 +241,20 @@ class ParamPoint:
     gamma: Optional[float] = None
 
 
-def regressor_matrix(spec: ModelSpec, coords: np.ndarray) -> np.ndarray:
-    """(n, p) regressors over an (n, 4) array of global coordinates: each
-    term is the product of its two slots of [1, L, K, D, FDV].  The result
-    is C-ordered, so ``Z @ beta`` takes the same path for every caller."""
+def quadratic(coords: np.ndarray) -> np.ndarray:
+    """(n, 15) regressors of QUADRATIC over an (n, 4) array of global
+    coordinates: each term is the product of its two columns of
+    [1, L, K, D, FDV].  The result is C-ordered."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     extended = np.empty((len(coords), 1 + len(GLOBAL_FACTORS)))
     extended[:, 0] = 1.0
     extended[:, 1:] = coords
-    # One gather of both slots of every term: (n, 2, p).
-    pairs = extended[:, spec.slots]
+    # One gather of both columns of every term: (n, 2, 15).
+    pairs = extended[:, _PAIRS]
     return np.multiply(pairs[:, 0], pairs[:, 1], order="C")
+
+
+def regressor_matrix(spec: ModelSpec, coords: np.ndarray) -> np.ndarray:
+    """(n, p) regressors over (n, 4) global coordinates: the model's columns
+    of ``quadratic``, C-ordered so ``Z @ beta`` runs alike for every caller."""
+    return quadratic(coords).take(spec.columns, axis=1)

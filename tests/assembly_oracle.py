@@ -36,15 +36,24 @@ def cholesky(a: np.ndarray):
 
 
 def regressor_matrix(spec: ModelSpec, coords: np.ndarray) -> np.ndarray:
-    """(n, p) regressors over an (n, 4) array of global coordinates."""
+    """(n, p) regressors over an (n, 4) array of global coordinates, each
+    term expanded from its kind and factor indices, as ``mp_oracle`` does."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    extended = np.empty((len(coords), 1 + len(GLOBAL_FACTORS)))
-    extended[:, 0] = 1.0
-    extended[:, 1:] = coords
-    left, right = spec.slots
-    return np.multiply(
-        extended.take(left, axis=1), extended.take(right, axis=1), order="C"
-    )
+    x = coords[:, [GLOBAL_FACTORS.index(f) for f in spec.factors]]
+    columns = []
+    for term in spec.terms:
+        kind = term.kind.value
+        if kind == "intercept":
+            columns.append(np.ones(len(x)))
+        elif kind == "main":
+            columns.append(x[:, term.a])
+        elif kind == "square":
+            columns.append(x[:, term.a] * x[:, term.a])
+        elif kind == "interaction":
+            columns.append(x[:, term.a] * x[:, term.b])
+        else:
+            raise ValueError(f"unknown term kind {kind!r}")
+    return np.stack(columns, axis=1)
 
 
 def augmented_info_entries(

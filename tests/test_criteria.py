@@ -675,6 +675,18 @@ class TestStacked:
                     phi(s, design, STACK_ENSEMBLE), rel=1e-12
                 )
 
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_design_alone_scores_as_in_a_stack(self, m):
+        # BLAS picks the path of Z @ whiten and Z @ beta by row count, so a
+        # design scored alone may differ from its column of a stack in the
+        # last bits, and by no more.
+        ens = data.model_ensemble("pm10pm20", m=m)
+        stack = np.random.default_rng(m).uniform(-2.0, 2.0, (40, m, 4))
+        stacked = ens.score(stack)
+        for j, design in enumerate(stack):
+            for alone, want in zip(ens.score(design[None]), stacked):
+                np.testing.assert_allclose(alone[:, 0], want[:, j], rtol=1e-13, atol=0)
+
     def test_domain_violation_zeroes_only_its_scenario(self, monkeypatch):
         ens = STACK_ENSEMBLE
         low = ens.scenarios.index(LOW)

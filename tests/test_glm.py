@@ -1,4 +1,5 @@
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from augdesign import (
     regressor_matrix,
 )
 from augdesign import data
+from augdesign.glm import QUADRATIC, quadratic
 from augdesign.information import require_inside, weighted_gram
 from mp_oracle import mp_regressors
 
@@ -223,6 +225,28 @@ def oracle_matrix(spec, coords):
 BOX_CORNERS = np.array(list(itertools.product((-2.0, 2.0), repeat=4)))
 
 
+def full_quadratic_spec(factors):
+    """A log-link model of all 15 terms over ``factors``, in that order."""
+    return ModelSpec("full", Link.LOG, tuple(factors), (
+        Term.intercept(), *map(Term.main, range(4)), *map(Term.square, range(4)),
+        *itertools.starmap(Term.interaction, itertools.combinations(range(4), 2))))
+
+
+# Factors out of the global order, with an interaction over both.
+FDV_L = ModelSpec.from_dict({
+    "name": "u", "link": "inverse", "factors": ["FDV", "L"],
+    "terms": [["intercept"], ["main", "FDV"], ["main", "L"],
+              ["interaction", "FDV", "L"], ["square", "FDV"]]})
+FULL = full_quadratic_spec(("D", "FDV", "L", "K"))
+
+
+def assert_regressors_equal_oracle(spec, coords):
+    Z = regressor_matrix(spec, coords)
+    assert Z.shape == (len(coords), spec.p)
+    assert Z.flags.c_contiguous
+    assert np.array_equal(Z, oracle_matrix(spec, coords))
+
+
 class TestRegressor:
     def test_center_run_is_intercept_only(self):
         z = regressor_matrix(data.MODELS["flame_intensity"], [(0, 0, 0, 0)])[0]
@@ -240,12 +264,47 @@ class TestRegressor:
     @example(rows=data.CCD30[:, :4].tolist())
     @example(rows=[(0.0, 0.0, 1.3671875, 2.225073858507203e-309)])
     def test_matrix_equals_oracle(self, name, rows):
-        spec = data.MODELS[name]
+        assert_regressors_equal_oracle(data.MODELS[name], np.array(rows))
+
+    @given(spec=model_specs(), rows=st.lists(coords_strategy, min_size=1, max_size=6))
+    @example(spec=FDV_L, rows=BOX_CORNERS.tolist())
+    @example(spec=FULL, rows=data.CCD30[:, :4].tolist())
+    def test_matrix_of_a_user_model_equals_oracle(self, spec, rows):
+        assert_regressors_equal_oracle(spec, np.array(rows))
+
+
+class TestQuadratic:
+    def test_table_is_every_sorted_pair_of_columns(self):
+        assert QUADRATIC == tuple(itertools.combinations_with_replacement(range(5), 2))
+
+    @given(spec=model_specs())
+    @example(spec=FDV_L)
+    @example(spec=FULL)
+    def test_columns_are_distinct_read_only_positions(self, spec):
+        columns = spec.columns
+        assert columns.shape == (spec.p,)
+        assert len(set(columns.tolist())) == spec.p
+        assert all(0 <= c < len(QUADRATIC) for c in columns.tolist())
+        with pytest.raises(ValueError, match="read-only"):
+            columns[0] = 0
+
+    @given(order=st.permutations(GLOBAL_FACTORS),
+           rows=st.lists(coords_strategy, min_size=1, max_size=6))
+    def test_full_model_permutes_the_table(self, order, rows):
+        spec = full_quadratic_spec(order)
         coords = np.array(rows)
-        Z = regressor_matrix(spec, coords)
-        assert Z.shape == (len(rows), spec.p)
-        assert Z.flags.c_contiguous
-        assert np.array_equal(Z, oracle_matrix(spec, coords))
+        assert sorted(spec.columns.tolist()) == list(range(len(QUADRATIC)))
+        Z = quadratic(coords)
+        assert Z.shape == (len(rows), len(QUADRATIC)) and Z.flags.c_contiguous
+        assert np.array_equal(regressor_matrix(spec, coords), Z[:, spec.columns])
+
+    @pytest.mark.parametrize("name", data.RESPONSES)
+    def test_equality_and_hash_ignore_columns(self, name):
+        spec = data.MODELS[name]
+        copy = ModelSpec.from_dict(spec.to_dict())
+        assert copy.columns is not spec.columns
+        assert copy == spec and hash(copy) == hash(spec)
+        assert "columns" not in {f.name for f in dataclasses.fields(ModelSpec)}
 
 
 class TestLinearPredictor:
